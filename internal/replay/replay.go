@@ -39,7 +39,8 @@ var (
 	// into (the session closed, or never existed — on-demand devices).
 	ErrNoBridge = errors.New("replay: no live hijacked session")
 	// ErrNotReadable reports a capture with no null-cipher plaintext to
-	// re-issue at the application layer.
+	// re-issue at the application layer: the flow's retained client hello
+	// did not negotiate ModeNullCipher, or no hello was retained.
 	ErrNotReadable = errors.New("replay: no readable plaintext in capture")
 )
 
@@ -116,16 +117,22 @@ type AppSession struct {
 }
 
 // AppReplay re-issues the readable device-to-server plaintexts of a
-// captured conversation, in capture order, over a fresh attacker session
-// to the server. Only null-cipher records are readable; a capture with
-// none returns ErrNotReadable before any connection is made. Replaying
-// the full prefix (connect/keepalive traffic and then the event)
-// reproduces the device's own conversation shape, so brokers that expect
-// a CONNECT before PUBLISH are satisfied too.
+// captured conversation (one flow, as SessionPrefix returns it), in capture
+// order, over a fresh attacker session to the server. Readability is the
+// flow's negotiated mode, read from its retained cleartext client hello:
+// only a null-cipher session's records carry plaintext. Any other mode, or
+// a flow whose hello was not retained, returns ErrNotReadable before any
+// connection is made. Replaying the full prefix (connect/keepalive traffic
+// and then the event) reproduces the device's own conversation shape, so
+// brokers that expect a CONNECT before PUBLISH are satisfied too.
 func (e *Engine) AppReplay(server tcpsim.Endpoint, records []sniff.RecordMeta) (*AppSession, error) {
+	flow, ok := nullCipherFlow(records)
+	if !ok {
+		return nil, ErrNotReadable
+	}
 	var plains [][]byte
 	for _, r := range records {
-		if r.Dir != sniff.DirClientToServer {
+		if r.Flow != flow || r.Dir != sniff.DirClientToServer {
 			continue
 		}
 		if p := tlssim.ReadPlaintext(r.Payload); p != nil {
@@ -150,6 +157,19 @@ func (e *Engine) AppReplay(server tcpsim.Endpoint, records []sniff.RecordMeta) (
 		e.emit("replay_injected", "app", int64(s.Sent))
 	}
 	return s, nil
+}
+
+// nullCipherFlow finds the first retained client hello in records and
+// reports its flow when that session negotiated ModeNullCipher.
+func nullCipherFlow(records []sniff.RecordMeta) (sniff.FlowKey, bool) {
+	for _, r := range records {
+		if r.Dir != sniff.DirClientToServer || r.Type != tlssim.RecordHandshake || len(r.Payload) == 0 {
+			continue
+		}
+		mode, ok := tlssim.HelloMode(r.Payload)
+		return r.Flow, ok && mode == tlssim.ModeNullCipher
+	}
+	return sniff.FlowKey{}, false
 }
 
 // ReportOutcome records the ground-truth verdict for one injection —

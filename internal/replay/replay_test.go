@@ -1,11 +1,18 @@
 package replay_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ipaddr"
+	"repro/internal/ipnet"
+	"repro/internal/netsim"
 	"repro/internal/replay"
+	"repro/internal/simtime"
 	"repro/internal/sniff"
 	"repro/internal/tcpsim"
 	"repro/internal/tlssim"
@@ -97,5 +104,111 @@ func TestSessionPrefixFiltersFlowAndDirection(t *testing.T) {
 
 	if replay.SessionPrefix(records, -1) != nil || replay.SessionPrefix(records, len(records)) != nil {
 		t.Fatal("out-of-range index returned a prefix")
+	}
+}
+
+// record frames body as one wire record, header included.
+func record(typ tlssim.RecordType, body []byte) []byte {
+	rec := []byte{byte(typ), 0x03, 0x03, byte(len(body) >> 8), byte(len(body))}
+	return append(rec, body...)
+}
+
+// nullCipherRecord encodes msg the way a null-cipher session does: an
+// explicit 8-byte sequence followed by the clear payload.
+func nullCipherRecord(seq byte, msg string) []byte {
+	body := append(make([]byte, 7, 8+len(msg)), seq)
+	return record(tlssim.RecordApplication, append(body, msg...))
+}
+
+// appReplayLab puts an attacker and a listening TLS server on one LAN and
+// records what the server accepts and receives.
+type appReplayLab struct {
+	clk      *simtime.Clock
+	eng      *replay.Engine
+	atk      *core.Attacker
+	server   tcpsim.Endpoint
+	accepted int
+	got      []string
+}
+
+func newAppReplayLab(t *testing.T) *appReplayLab {
+	t.Helper()
+	clk := simtime.NewClock()
+	nw := netsim.NewNetwork(clk, 1)
+	lan := nw.NewSegment("lan", time.Millisecond, 0)
+	srvIP := ipnet.NewStack(clk, nw.NewHost("cloud"))
+	srvIP.MustAddIface(lan, "192.168.1.20/24")
+	srvTCP := tcpsim.NewStack(clk, srvIP, tcpsim.Config{}, 8)
+	atk, err := core.NewAttacker(nw, lan, "attacker", "192.168.1.66/24", ipaddr.MustParse("192.168.1.1"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &appReplayLab{
+		clk: clk, eng: replay.NewEngine(atk), atk: atk,
+		server: tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.20"), Port: 8883},
+	}
+	rng := simtime.NewRand(9)
+	if _, err := srvTCP.Listen(l.server.Port, func(c *tcpsim.Conn) {
+		l.accepted++
+		tlssim.Server(c, rng).OnMessage = func(m []byte) { l.got = append(l.got, string(m)) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestAppReplayReadabilityFromHello: whether a capture is readable is the
+// flow's negotiated mode, read from its client hello — never the shape of
+// its application records. Every case below carries the same
+// null-cipher-shaped records (legacy-nonce ciphertext has that shape too);
+// only a null-cipher hello makes them plaintext. Unreadable captures fail
+// before any connection is dialed.
+func TestAppReplayReadabilityFromHello(t *testing.T) {
+	flow := sniff.FlowKey{
+		Client: tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.30"), Port: 40000},
+		Server: tcpsim.Endpoint{Addr: ipaddr.MustParse("100.64.10.10"), Port: 8883},
+	}
+	hello := func(offer ...byte) []byte {
+		return record(tlssim.RecordHandshake, append(make([]byte, 48), offer...))
+	}
+	msgs := []string{"CONNECT dev-7", "PUBLISH leak=1"}
+	for _, tc := range []struct {
+		name  string
+		hello []byte // nil: the hello's payload was not retained
+		want  []string
+	}{
+		{"seq-bound", hello(), nil},
+		{"legacy-nonce", hello(byte(tlssim.ModeLegacyNonce), 0), nil},
+		{"legacy-nonce-window", hello(byte(tlssim.ModeLegacyNonce), 64), nil},
+		{"hello-not-retained", nil, nil},
+		{"null-cipher", hello(byte(tlssim.ModeNullCipher), 0), msgs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newAppReplayLab(t)
+			c2s := sniff.DirClientToServer
+			records := []sniff.RecordMeta{
+				{Flow: flow, Dir: c2s, Type: tlssim.RecordHandshake, WireLen: 55, Payload: tc.hello},
+				{Flow: flow, Dir: c2s, Type: tlssim.RecordApplication, Payload: nullCipherRecord(0, msgs[0])},
+				{Flow: flow, Dir: c2s, Type: tlssim.RecordApplication, Payload: nullCipherRecord(1, msgs[1])},
+			}
+			sess, err := l.eng.AppReplay(l.server, records)
+			if tc.want == nil {
+				if !errors.Is(err, replay.ErrNotReadable) {
+					t.Fatalf("AppReplay err = %v, want ErrNotReadable", err)
+				}
+				l.clk.RunFor(5 * time.Second)
+				if n := l.atk.TCP.ConnCount(); n != 0 || l.accepted != 0 {
+					t.Fatalf("unreadable capture dialed: %d attacker conns, %d accepted", n, l.accepted)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("AppReplay: %v", err)
+			}
+			l.clk.RunFor(5 * time.Second)
+			if sess.Sent != len(tc.want) || strings.Join(l.got, "|") != strings.Join(tc.want, "|") {
+				t.Fatalf("server received %q (sent %d), want %q", l.got, sess.Sent, tc.want)
+			}
+		})
 	}
 }

@@ -221,10 +221,34 @@ func (c *Conn) processExplicitSeq(body []byte) {
 	}
 }
 
+// HelloMode reads the replay mode a session negotiated from its captured
+// client hello record (header included): the 48-byte hello is the default
+// seq-bound offer, the 50-byte form carries the mode byte. ok is false for
+// anything that is not a well-formed client hello.
+func HelloMode(rec []byte) (mode ReplayMode, ok bool) {
+	if len(rec) < HeaderLen || RecordType(rec[0]) != RecordHandshake {
+		return 0, false
+	}
+	body := rec[HeaderLen:]
+	if int(binary.BigEndian.Uint16(rec[3:5])) != len(body) {
+		return 0, false
+	}
+	switch len(body) {
+	case helloLen:
+		return ModeSeqBound, true
+	case helloLen + 2:
+		mode = ReplayMode(body[helloLen])
+		return mode, mode.Valid()
+	}
+	return 0, false
+}
+
 // ReadPlaintext extracts the application plaintext from a captured
 // null-cipher application record (header + explicit sequence + clear
-// payload). It returns nil for records of any other shape — callers use it
-// to test whether a capture is readable at all.
+// payload), or returns nil for a record of any other shape. The check is
+// structural only: a legacy-nonce record has the same shape, so callers
+// must first establish from the flow's hello (HelloMode) that the session
+// negotiated ModeNullCipher.
 func ReadPlaintext(rec []byte) []byte {
 	if len(rec) < HeaderLen+explicitSeqLen {
 		return nil
