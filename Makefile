@@ -6,8 +6,8 @@ GO ?= go
 # hardware. BENCHTIME=1x gives a fast smoke recording.
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
-BENCH_PKGS = . ./internal/simtime ./internal/tcpsim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
+BENCH_PKGS = . ./internal/simtime ./internal/tcpsim ./internal/tlssim
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 
@@ -31,10 +31,11 @@ test:
 	$(GO) test ./...
 
 # The packages with real goroutine concurrency: the parallel table runner,
-# the obs snapshot/merge boundary it synchronises through, and the fleet
-# sharded worker pool.
+# the obs snapshot/merge boundary it synchronises through, the fleet
+# sharded worker pool, the live HTTP observability plane and the CLI that
+# drives them.
 race:
-	$(GO) test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/
+	$(GO) test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/ ./cmd/phantomlab/
 
 verify: build vet lint test race
 

@@ -1,6 +1,11 @@
 package tlssim
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -18,31 +23,40 @@ type env struct {
 	srv *Conn
 }
 
-// newEnv builds client and server TLS sessions over a simulated LAN and
-// completes the handshake.
-func newEnv(t *testing.T) *env {
-	t.Helper()
-	clk := simtime.NewClock()
+// serverEP is where every test server listens.
+var serverEP = tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.20"), Port: 443}
+
+// newLAN puts a client host and a server host (at serverEP's address) on
+// one simulated LAN, each with a TCP stack.
+func newLAN() (clk *simtime.Clock, cliTCP, srvTCP *tcpsim.Stack) {
+	clk = simtime.NewClock()
 	nw := netsim.NewNetwork(clk, 1)
 	seg := nw.NewSegment("lan", time.Millisecond, 0)
-
 	clientIP := ipnet.NewStack(clk, nw.NewHost("client"))
 	clientIP.MustAddIface(seg, "192.168.1.10/24")
 	serverIP := ipnet.NewStack(clk, nw.NewHost("server"))
 	serverIP.MustAddIface(seg, "192.168.1.20/24")
+	return clk, tcpsim.NewStack(clk, clientIP, tcpsim.Config{}, 7), tcpsim.NewStack(clk, serverIP, tcpsim.Config{}, 8)
+}
 
-	cliTCP := tcpsim.NewStack(clk, clientIP, tcpsim.Config{}, 7)
-	srvTCP := tcpsim.NewStack(clk, serverIP, tcpsim.Config{}, 8)
+// newEnv builds client and server TLS sessions over a simulated LAN and
+// completes the handshake.
+func newEnv(t testing.TB) *env { return newModeEnv(t, ModeSeqBound, 0) }
 
+// newModeEnv is newEnv with an explicit replay-mode offer from the client.
+// Both endpoints draw from one source seeded 99, so every env built with
+// the same offer has the same session keys.
+func newModeEnv(t testing.TB, mode ReplayMode, window int) *env {
+	t.Helper()
+	clk, cliTCP, srvTCP := newLAN()
 	rng := simtime.NewRand(99)
 	e := &env{clk: clk}
-	if _, err := srvTCP.Listen(443, func(c *tcpsim.Conn) {
+	if _, err := srvTCP.Listen(serverEP.Port, func(c *tcpsim.Conn) {
 		e.srv = Server(c, rng)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tcp := cliTCP.Dial(tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.20"), Port: 443})
-	e.cli = Client(tcp, rng)
+	e.cli = ClientWithMode(cliTCP.Dial(serverEP), rng, mode, window)
 	clk.RunFor(time.Second)
 	if !e.cli.Established() || e.srv == nil || !e.srv.Established() {
 		t.Fatal("handshake did not complete")
@@ -93,14 +107,8 @@ func TestMessageBoundariesPreserved(t *testing.T) {
 }
 
 func TestSendBeforeEstablishedFails(t *testing.T) {
-	clk := simtime.NewClock()
-	nw := netsim.NewNetwork(clk, 1)
-	seg := nw.NewSegment("lan", time.Millisecond, 0)
-	clientIP := ipnet.NewStack(clk, nw.NewHost("client"))
-	clientIP.MustAddIface(seg, "192.168.1.10/24")
-	cliTCP := tcpsim.NewStack(clk, clientIP, tcpsim.Config{}, 7)
-	tcp := cliTCP.Dial(tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.99"), Port: 443})
-	c := Client(tcp, simtime.NewRand(1))
+	_, cliTCP, _ := newLAN()
+	c := Client(cliTCP.Dial(tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.99"), Port: 443}), simtime.NewRand(1))
 	if err := c.Send([]byte("x")); !errors.Is(err, ErrNotEstablished) {
 		t.Fatalf("err = %v, want ErrNotEstablished", err)
 	}
@@ -294,6 +302,114 @@ func TestTCPResetPropagates(t *testing.T) {
 	}
 }
 
+// TestSessionKeyKnownAnswer pins the key derivation: the session secret is
+// SHA-256(clientShare ‖ serverShare), each direction's AES-128 key is
+// HMAC-SHA256(secret, label ‖ clientRandom ‖ serverRandom) cut to 16 bytes,
+// and fixed seeds give a fixed first sealed record.
+func TestSessionKeyKnownAnswer(t *testing.T) {
+	e := newEnv(t)
+	msg := []byte("event: door open")
+	got := e.cli.seal(RecordApplication, msg)
+	const want = "17030300200e6aad9069f6fd01350ebb4853223f46f73382de515fb70df685ebdc75da97dc"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("first sealed record\n%x\nwant\n%s", got, want)
+	}
+
+	// The same record from the stated derivation, computed independently.
+	ch, sh := e.cli.hello, e.srv.hello
+	secret := sha256.Sum256(append(append([]byte(nil), ch[:shareLen]...), sh[:shareLen]...))
+	mac := hmac.New(sha256.New, secret[:])
+	mac.Write([]byte("client write"))
+	mac.Write(ch[shareLen:])
+	mac.Write(sh[shareLen:])
+	block, err := aes.NewCipher(mac.Sum(nil)[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aad := []byte{0, 0, 0, 0, 0, 0, 0, 0, byte(RecordApplication), 3, 3, 0, byte(len(msg) + 16)}
+	body := gcm.Seal(nil, make([]byte, 12), msg, aad)
+	if string(got[HeaderLen:]) != string(body) {
+		t.Fatalf("sealed body %x, derivation gives %x", got[HeaderLen:], body)
+	}
+}
+
+// TestAlteredHelloShareDetected: the hellos travel in the clear and are not
+// authenticated, but both shares and both randoms feed the keys. A hello
+// byte altered in flight leaves the endpoints with different keys, so the
+// first application record fails authentication and raises an alert —
+// property 2 holds without a key agreement.
+func TestAlteredHelloShareDetected(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		toServer bool // alter the client hello (else the server hello)
+		off      int  // body offset of the flipped bit
+	}{
+		{"client share", true, 0},
+		{"server share", false, shareLen - 1},
+		{"client random", true, shareLen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk, cliTCP, srvTCP := newLAN()
+			rng := simtime.NewRand(99)
+			var srv *Conn
+			var srvErr, cliErr error
+			var got []string
+			if _, err := srvTCP.Listen(serverEP.Port, func(c *tcpsim.Conn) {
+				srv = Server(c, rng)
+				srv.OnMessage = func(m []byte) { got = append(got, string(m)) }
+				srv.OnClose = func(err error) { srvErr = err }
+				if tc.toServer {
+					alterFirstRecord(c, tc.off)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tcp := cliTCP.Dial(serverEP)
+			cli := Client(tcp, rng)
+			cli.OnClose = func(err error) { cliErr = err }
+			if !tc.toServer {
+				alterFirstRecord(tcp, tc.off)
+			}
+			clk.RunFor(time.Second)
+			if !cli.Established() || srv == nil || !srv.Established() {
+				t.Fatal("handshake did not complete")
+			}
+			if err := cli.Send([]byte("event: door open")); err != nil {
+				t.Fatal(err)
+			}
+			clk.RunFor(time.Second)
+			if len(got) != 0 {
+				t.Fatalf("server delivered %q under mismatched keys", got)
+			}
+			if !errors.Is(srvErr, ErrBadRecord) || srv.AlertsRaised() != 1 {
+				t.Fatalf("server err = %v, alerts %d; want ErrBadRecord and one alert", srvErr, srv.AlertsRaised())
+			}
+			var alert *AlertReceivedError
+			if !errors.As(cliErr, &alert) || alert.Description != "bad_record_mac" {
+				t.Fatalf("client err = %v, want the bad_record_mac alert", cliErr)
+			}
+		})
+	}
+}
+
+// alterFirstRecord flips one bit at body offset off of the first record
+// tcp delivers — the peer's hello — as an on-path attacker would.
+func alterFirstRecord(tcp *tcpsim.Conn, off int) {
+	deliver, done := tcp.OnData, false
+	tcp.OnData = func(b []byte) {
+		if !done && len(b) > HeaderLen+off {
+			b = append([]byte(nil), b...)
+			b[HeaderLen+off] ^= 0x01
+			done = true
+		}
+		deliver(b)
+	}
+}
+
 func TestMalformedHandshakeRejected(t *testing.T) {
 	e := newEnv(t)
 	var srvErr error
@@ -309,36 +425,14 @@ func TestMalformedHandshakeRejected(t *testing.T) {
 }
 
 func TestShortHandshakeRejected(t *testing.T) {
-	// A fresh server receiving a truncated hello must fail the handshake.
-	clk := simtime.NewClock()
-	nw := netsim.NewNetwork(clk, 1)
-	seg := nw.NewSegment("lan", time.Millisecond, 0)
-	cliIP := ipnet.NewStack(clk, nw.NewHost("c"))
-	cliIP.MustAddIface(seg, "192.168.1.10/24")
-	srvIP := ipnet.NewStack(clk, nw.NewHost("s"))
-	srvIP.MustAddIface(seg, "192.168.1.20/24")
-	cliTCP := tcpsim.NewStack(clk, cliIP, tcpsim.Config{}, 7)
-	srvTCP := tcpsim.NewStack(clk, srvIP, tcpsim.Config{}, 8)
-	rng := simtime.NewRand(3)
-	var srv *Conn
-	var srvErr error
-	if _, err := srvTCP.Listen(443, func(c *tcpsim.Conn) {
-		srv = Server(c, rng)
-		srv.OnClose = func(err error) { srvErr = err }
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Raw TCP client sends a malformed hello (30 bytes, not 48).
-	tcp := cliTCP.Dial(tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.20"), Port: 443})
-	tcp.OnEstablished = func() {
-		_ = tcp.Send(plainRecord(RecordHandshake, make([]byte, 30)))
-	}
-	clk.RunFor(time.Second)
-	if srv == nil || srv.Established() {
+	// A fresh server receiving a truncated hello (30 bytes, not 48) must
+	// fail the handshake.
+	l := newHelloLab(t, make([]byte, 30))
+	if l.srv.Established() {
 		t.Fatal("handshake should not complete")
 	}
-	if !errors.Is(srvErr, ErrBadRecord) {
-		t.Fatalf("err = %v, want ErrBadRecord", srvErr)
+	if !errors.Is(l.srv.closeErr, ErrBadRecord) {
+		t.Fatalf("err = %v, want ErrBadRecord", l.srv.closeErr)
 	}
 }
 

@@ -7,8 +7,9 @@
 #              tracing invariants, machine-checked (DESIGN.md §10)
 #   test     — full test suite
 #   race     — the packages that spawn goroutines (the parallel table
-#              runner, the obs snapshot/merge boundary and the fleet
-#              worker pool) under the race detector
+#              runner, the obs snapshot/merge boundary, the fleet worker
+#              pool, the live HTTP observability plane and the CLI that
+#              drives them) under the race detector
 set -eu
 cd "$(dirname "$0")"
 
@@ -21,5 +22,5 @@ go run ./cmd/phantomlint ./...
 echo "== go test"
 go test ./...
 echo "== go test -race (concurrency boundary)"
-go test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/
+go test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/ ./cmd/phantomlab/
 echo "verify: OK"
