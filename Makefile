@@ -7,7 +7,7 @@ GO ?= go
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
 BENCH_PKGS = . ./internal/simtime ./internal/tcpsim ./internal/tlssim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 

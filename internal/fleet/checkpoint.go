@@ -11,11 +11,14 @@ import (
 	"path/filepath"
 )
 
-// checkpointVersion guards the on-disk shape; bump on incompatible change.
-// v1 retained every completed ShardResult (each save rewrote them all —
-// O(shards²) I/O across a campaign); v2 persists a compacted mergeable
-// Partial whose size is bounded by the reorder window.
-const checkpointVersion = 2
+// checkpointVersion guards the on-disk shape and the random streams behind
+// it; bump on any change that alters either. v1 retained every completed
+// ShardResult (each save rewrote them all — O(shards²) I/O across a
+// campaign); v2 persists a compacted mergeable Partial whose size is
+// bounded by the reorder window. v3 has v2's shape, but its homes are
+// drawn from simtime.Rand's PCG streams: a v2 partial describes a
+// different population, so resuming or merging it would mix the two.
+const checkpointVersion = 3
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -74,8 +77,11 @@ func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is corrupt: %w", path, err)
 	}
-	if f.Version == 1 {
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v2 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	switch f.Version {
+	case 1:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v3 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	case 2:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is a v2 partial drawn from the retired math/rand streams; this build generates a different population and reads v3 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	}
 	if f.Version != checkpointVersion {
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, f.Version, checkpointVersion)

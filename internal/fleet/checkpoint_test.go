@@ -136,15 +136,51 @@ func TestCheckpointRejectsV1(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsV2: a v2 file has the current shape but was drawn
+// from the retired math/rand streams, so both resume and -merge must
+// refuse it by name instead of folding a different population into the
+// result.
+func TestCheckpointRejectsV2(t *testing.T) {
+	c := testCampaign(t)
+	p, err := c.RunRange(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := c.SavePartial(path, p); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := []byte(`"version": 3,`)
+	if !bytes.Contains(data, v3) {
+		t.Fatalf("saved partial carries no %s field", v3)
+	}
+	data = bytes.Replace(data, v3, []byte(`"version": 2,`), 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "v2 partial drawn from the retired math/rand streams"
+	if _, _, err := LoadPartials([]string{path}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadPartials on a v2 partial: %v, want %q", err, want)
+	}
+	c.CheckpointPath = path
+	if _, err := c.RunRange(0, 3); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from a v2 checkpoint: %v, want %q", err, want)
+	}
+}
+
 // TestCheckpointRejectsUnknownVersionAndGarbage rounds out decode errors.
 func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":3}`), 0o644); err != nil {
+	if err := os.WriteFile(ck.path, []byte(`{"version":4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 3, want 2") {
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 4, want 3") {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {
@@ -247,7 +283,7 @@ func TestCheckpointSizeBoundedByWindow(t *testing.T) {
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint decoder:
-// it must never panic, and anything it accepts must be version 2 and
+// it must never panic, and anything it accepts must be the current version and
 // survive structural validation without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
 	spec := DefaultSpec()
@@ -270,6 +306,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{"version":1,"shards":[{"index":0}]}`))
 	f.Add([]byte(`{"version":2,"partial":{"watermark":-3,"window":[{"index":9}]}}`))
+	f.Add([]byte(`{"version":3,"partial":{"watermark":-3,"window":[{"index":9}]}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {

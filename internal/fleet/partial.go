@@ -18,7 +18,7 @@ type PartialTally struct {
 	DelaySum obs.FloatSum `json:"delaySum"`
 }
 
-// Partial is checkpoint format v2 and the unit of multi-process fleet
+// Partial is checkpoint format v3 and the unit of multi-process fleet
 // sharding: the mergeable aggregate of the shard range [Start, Watermark)
 // plus the completed-but-unfolded shards sitting past the watermark.
 //

@@ -55,3 +55,47 @@ func BenchmarkTimerReset(b *testing.B) {
 		}
 	}
 }
+
+// randBatch is the number of sources one BenchmarkNewRand or
+// BenchmarkRandReseed op seeds. A single extra allocation per source
+// then clears the allocation gate's absolute slack (64 allocs/op under
+// -ci), so a return to a per-seed heap source — math/rand's 4.9 kB
+// lagged-Fibonacci table — fails the gate instead of hiding in it.
+const randBatch = 128
+
+var randSink int64
+
+// drawFew is the typical use of a simulation source: a handful of draws,
+// one of them a TLS hello's 48 random bytes.
+func drawFew(r *Rand, hello []byte) int64 {
+	r.Bytes(hello)
+	return r.Int63() + int64(r.Duration(time.Second)) + int64(r.Intn(10)) + int64(hello[0])
+}
+
+// BenchmarkNewRand constructs randBatch fresh sources per op and draws a
+// few values from each, the pattern of a testbed build.
+func BenchmarkNewRand(b *testing.B) {
+	hello := make([]byte, 48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < randBatch; j++ {
+			randSink += drawFew(NewRand(int64(i*randBatch+j)), hello)
+		}
+	}
+}
+
+// BenchmarkRandReseed is BenchmarkNewRand on the arena path: one source
+// rewound in place randBatch times per op. It must not allocate.
+func BenchmarkRandReseed(b *testing.B) {
+	hello := make([]byte, 48)
+	r := NewRand(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < randBatch; j++ {
+			r.Reseed(int64(i*randBatch + j))
+			randSink += drawFew(r, hello)
+		}
+	}
+}

@@ -1,33 +1,59 @@
 package simtime
 
 import (
-	"math/rand"
+	"encoding/binary"
+	"math/rand/v2"
 	"time"
 )
 
-// Rand is a deterministic random source for simulations. It wraps math/rand
-// seeded explicitly so that every run with the same seed produces the same
-// event sequence.
+// Rand is a deterministic random source for simulations: every run with
+// the same seed produces the same event sequence.
+//
+// It is backed by math/rand/v2's PCG, whose whole state is two words, so
+// constructing or reseeding one is O(1) — a simulated home creates a
+// source per TCP stack and draws only a handful of values from each. The
+// int64 seed is mapped to PCG's two seed words by the first two outputs
+// of SplitMix64 started at the seed, so adjacent seeds (Seed+1,
+// Seed+900, ...) give unrelated streams.
+//
+// Every draw consumes whole 64-bit PCG outputs; Bytes documents how many.
 type Rand struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand // reads pcg
 }
 
 // NewRand returns a deterministic source for the given seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{r: rand.New(rand.NewSource(seed))}
+	r := &Rand{}
+	r.Reseed(seed)
+	r.r = *rand.New(&r.pcg)
+	return r
 }
 
 // Reseed rewinds the source to the start of the given seed's sequence, in
-// place. A reseeded Rand produces exactly the byte stream NewRand(seed)
-// would, without the source allocation — the testbed arena reuses its
-// generators across homes this way.
-func (r *Rand) Reseed(seed int64) { r.r.Seed(seed) }
+// place. A reseeded Rand produces exactly the stream NewRand(seed) would,
+// without an allocation — the testbed arena reuses its generators across
+// homes this way.
+func (r *Rand) Reseed(seed int64) {
+	x := uint64(seed)
+	hi := splitMix64(&x)
+	r.pcg.Seed(hi, splitMix64(&x))
+}
+
+// splitMix64 advances the SplitMix64 state x and returns its next output.
+func splitMix64(x *uint64) uint64 {
+	*x += 0x9E3779B97F4A7C15
+	z := *x
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
+func (r *Rand) Intn(n int) int { return r.r.IntN(n) }
 
 // Int63 returns a non-negative uniform int64.
-func (r *Rand) Int63() int64 { return r.r.Int63() }
+func (r *Rand) Int63() int64 { return r.r.Int64() }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 { return r.r.Float64() }
@@ -37,7 +63,7 @@ func (r *Rand) Duration(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	return time.Duration(r.r.Int63n(int64(d)))
+	return time.Duration(r.r.Int64N(int64(d)))
 }
 
 // DurationRange returns a uniform duration in [lo, hi). If hi <= lo it
@@ -62,10 +88,14 @@ func (r *Rand) Jitter(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * scale)
 }
 
-// Bytes fills b with deterministic pseudo-random bytes.
+// Bytes fills b with deterministic pseudo-random bytes. It consumes
+// ceil(len(b)/8) 64-bit draws, each written little-endian; the unused
+// high bytes of a final partial word are discarded, so two calls of 4
+// bytes differ from one call of 8.
 func (r *Rand) Bytes(b []byte) {
-	if _, err := r.r.Read(b); err != nil {
-		// math/rand.Read never fails; keep the check for interface hygiene.
-		panic("simtime: rand read: " + err.Error())
+	var w [8]byte
+	for len(b) > 0 {
+		binary.LittleEndian.PutUint64(w[:], r.pcg.Uint64())
+		b = b[copy(b, w[:]):]
 	}
 }

@@ -310,7 +310,7 @@ func TestSessionKeyKnownAnswer(t *testing.T) {
 	e := newEnv(t)
 	msg := []byte("event: door open")
 	got := e.cli.seal(RecordApplication, msg)
-	const want = "17030300200e6aad9069f6fd01350ebb4853223f46f73382de515fb70df685ebdc75da97dc"
+	const want = "17030300206574d9b3160a01662a538022a72e17b4c78e85101295259a9ce6d4a94330b222"
 	if hex.EncodeToString(got) != want {
 		t.Fatalf("first sealed record\n%x\nwant\n%s", got, want)
 	}
