@@ -6,8 +6,8 @@ GO ?= go
 # hardware. BENCHTIME=1x gives a fast smoke recording.
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
-BENCH_PKGS = . ./internal/simtime ./internal/tcpsim ./internal/tlssim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
+BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 
@@ -19,8 +19,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the phantomlint suite (internal/analysis: simdeterminism,
-# maporder, traceguard, timerguard, resetalloc) over the whole module. See DESIGN.md
+# lint runs the phantomlint suite (internal/analysis: detflow,
+# goroutineguard, maporder, resetalloc, simdeterminism, timerguard,
+# traceguard, wallclockboundary) over the whole module. See DESIGN.md
 # §10 for what each analyzer enforces and the //lint:allow suppression
 # policy. Also usable as `go vet -vettool=$(go build -o /tmp/pl
 # ./cmd/phantomlint && echo /tmp/pl) ./...`.

@@ -116,13 +116,13 @@ type Client struct {
 	pending map[ipaddr.Addr]*resolution
 	// txbuf is the marshal scratch for the client's sends; netsim copies a
 	// frame's payload before Send returns, so one buffer serves them all.
-	txbuf []byte
+	// A fixed array, so not even the first send allocates.
+	txbuf [packetLen]byte
 }
 
 // send marshals p into the client's scratch and transmits it.
 func (c *Client) send(dst netsim.MAC, p Packet) {
-	c.txbuf = p.AppendTo(c.txbuf[:0])
-	c.nic.Send(netsim.Frame{Dst: dst, Type: netsim.EtherTypeARP, Payload: c.txbuf})
+	c.nic.Send(netsim.Frame{Dst: dst, Type: netsim.EtherTypeARP, Payload: p.AppendTo(c.txbuf[:0])})
 }
 
 type resolution struct {
@@ -226,13 +226,20 @@ func (c *Client) HandleFrame(f netsim.Frame) {
 	}
 	// Vulnerable-by-default cache update: learn the sender binding from any
 	// packet, including unsolicited replies. This is the poisoning surface.
+	// A poisoned victim hears the same forged binding every re-poison
+	// tick, so an unchanged binding is left alone and the pending map is
+	// consulted only while a resolution is outstanding.
 	if !p.SenderIP.IsZero() {
-		c.cache[p.SenderIP] = p.SenderMAC
-		if r, ok := c.pending[p.SenderIP]; ok {
-			delete(c.pending, p.SenderIP)
-			r.timer.Stop()
-			for _, cb := range r.callbacks {
-				cb(p.SenderMAC, true)
+		if m, ok := c.cache[p.SenderIP]; !ok || m != p.SenderMAC {
+			c.cache[p.SenderIP] = p.SenderMAC
+		}
+		if len(c.pending) > 0 {
+			if r, ok := c.pending[p.SenderIP]; ok {
+				delete(c.pending, p.SenderIP)
+				r.timer.Stop()
+				for _, cb := range r.callbacks {
+					cb(p.SenderMAC, true)
+				}
 			}
 		}
 	}

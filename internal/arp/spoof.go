@@ -26,6 +26,10 @@ type spoofEntry struct {
 	victimIP  ipaddr.Addr
 	victimMAC netsim.MAC
 	claimedIP ipaddr.Addr
+	// forged is the entry's forged reply, encoded once when the entry is
+	// registered. Every re-poison tick sends these same bytes, and netsim
+	// copies a payload into its own buffer, so a tick encodes nothing.
+	forged [packetLen]byte
 }
 
 // NewSpoofer creates a spoofer that re-poisons every period (default 1s if
@@ -61,12 +65,16 @@ func (s *Spoofer) Poison(victim, claimed ipaddr.Addr, done func(ok bool)) {
 			if ok {
 				s.realMACs[claimed] = realMAC
 			}
-			s.entries = append(s.entries, spoofEntry{
-				victimIP:  victim,
-				victimMAC: victimMAC,
-				claimedIP: claimed,
-			})
-			s.sendForged(s.entries[len(s.entries)-1])
+			e := spoofEntry{victimIP: victim, victimMAC: victimMAC, claimedIP: claimed}
+			Packet{
+				Op:        OpReply,
+				SenderMAC: s.client.nic.MAC(), // the lie: claimed is-at attacker
+				SenderIP:  claimed,
+				TargetMAC: victimMAC,
+				TargetIP:  victim,
+			}.AppendTo(e.forged[:0])
+			s.entries = append(s.entries, e)
+			s.sendForged(&s.entries[len(s.entries)-1])
 			if s.active && s.ticker == nil {
 				s.startTicker()
 			}
@@ -90,8 +98,8 @@ func (s *Spoofer) Start() {
 
 func (s *Spoofer) startTicker() {
 	s.ticker = simtime.NewTicker(s.clk, s.period, func() {
-		for _, e := range s.entries {
-			s.sendForged(e)
+		for i := range s.entries {
+			s.sendForged(&s.entries[i])
 		}
 	})
 }
@@ -131,31 +139,17 @@ func (s *Spoofer) Restore() {
 		if !ok {
 			continue
 		}
-		s.client.nic.Send(netsim.Frame{
-			Dst:  e.victimMAC,
-			Type: netsim.EtherTypeARP,
-			Payload: Packet{
-				Op:        OpReply,
-				SenderMAC: realMAC,
-				SenderIP:  e.claimedIP,
-				TargetMAC: e.victimMAC,
-				TargetIP:  e.victimIP,
-			}.Marshal(),
+		s.client.send(e.victimMAC, Packet{
+			Op:        OpReply,
+			SenderMAC: realMAC,
+			SenderIP:  e.claimedIP,
+			TargetMAC: e.victimMAC,
+			TargetIP:  e.victimIP,
 		})
 	}
 	s.entries = nil
 }
 
-func (s *Spoofer) sendForged(e spoofEntry) {
-	s.client.nic.Send(netsim.Frame{
-		Dst:  e.victimMAC,
-		Type: netsim.EtherTypeARP,
-		Payload: Packet{
-			Op:        OpReply,
-			SenderMAC: s.client.nic.MAC(), // the lie: claimedIP is-at attacker
-			SenderIP:  e.claimedIP,
-			TargetMAC: e.victimMAC,
-			TargetIP:  e.victimIP,
-		}.Marshal(),
-	})
+func (s *Spoofer) sendForged(e *spoofEntry) {
+	s.client.nic.Send(netsim.Frame{Dst: e.victimMAC, Type: netsim.EtherTypeARP, Payload: e.forged[:]})
 }

@@ -8,6 +8,43 @@ import (
 	"repro/internal/obs"
 )
 
+// aggregateRetained is the retain-all-then-merge aggregation: fold sorted
+// shard results into the campaign result, combining metrics via obs.Merge
+// in shard-index order. Run streams through an aggregator as shards land
+// instead; this is the executable reference the byte-identity tests
+// compare the streaming, resumed, and multi-process paths against
+// (TestStreamingAggregateMatchesRetained, TestMergePartialsMatchesRetained).
+func (c Campaign) aggregateRetained(shards []ShardResult) Result {
+	res := Result{
+		Campaign:  c.Spec.Name,
+		Homes:     c.Homes,
+		Seed:      c.Seed,
+		ShardSize: c.ShardSize,
+		Spec:      c.Spec,
+	}
+	tallies := make(map[string]*exactTally)
+	snaps := make([]obs.Snapshot, 0, len(shards))
+	for _, s := range shards {
+		res.HomesNoTarget += s.HomesNoTarget
+		res.HomesFailed += s.HomesFailed
+		res.HomesAttacked += s.Homes - s.HomesNoTarget - s.HomesFailed
+		res.Alarms += s.Alarms
+		res.Errors = append(res.Errors, s.Errors...)
+		for _, t := range s.Tallies {
+			agg, ok := tallies[t.Model]
+			if !ok {
+				agg = &exactTally{t: ModelTally{Model: t.Model}}
+				tallies[t.Model] = agg
+			}
+			agg.fold(t)
+		}
+		snaps = append(snaps, s.Metrics)
+	}
+	res.finishTallies(tallies)
+	res.Metrics = obs.Merge(snaps...)
+	return res
+}
+
 // TestStreamingAggregateMatchesRetained pins the tentpole guarantee: the
 // streaming aggregator (fold-as-they-land, retain nothing) produces a
 // Result byte-identical to the seed's retain-all-then-merge reference

@@ -28,9 +28,12 @@ type TraceEvent struct {
 // the package it is single-writer: append from the simulation goroutine,
 // read after the run. A nil *Trace drops everything.
 //
-// The backing array is allocated lazily on the first Add, so an enabled
-// but never-written trace (a fleet worker that disables tracing right
-// after construction) costs a couple of words, not capacity*sizeof(event).
+// The backing array grows on demand, doubling from traceInitCap up to the
+// capacity, so an enabled but never-written trace costs a couple of words
+// and a testbed that records a few hundred events never pays for a
+// DefaultTraceCap ring. Once the array reaches the capacity it is a fixed
+// ring: wraparound and eviction start exactly where a pre-sized ring's
+// would.
 type Trace struct {
 	buf     []TraceEvent
 	capn    int
@@ -61,10 +64,10 @@ func (t *Trace) Add(ev TraceEvent) {
 		}
 		return
 	}
-	if t.buf == nil {
-		t.buf = make([]TraceEvent, 0, t.capn)
-	}
-	if len(t.buf) < t.capn {
+	if n := len(t.buf); n < t.capn {
+		if n == cap(t.buf) {
+			t.grow()
+		}
 		t.buf = append(t.buf, ev)
 		return
 	}
@@ -72,6 +75,19 @@ func (t *Trace) Add(ev TraceEvent) {
 	t.next = (t.next + 1) % t.capn
 	t.wrapped = true
 	t.evicted++
+}
+
+// traceInitCap is the backing array's first size.
+const traceInitCap = 16
+
+// grow doubles the backing array, never past the capacity. Growth happens
+// only before the first wraparound, while the events sit in order at
+// buf[:len], so a plain copy keeps them oldest-first.
+func (t *Trace) grow() {
+	n := max(2*cap(t.buf), traceInitCap)
+	nb := make([]TraceEvent, len(t.buf), min(n, t.capn))
+	copy(nb, t.buf)
+	t.buf = nb
 }
 
 // Reset drops all buffered events and drop counters but keeps the ring's

@@ -12,7 +12,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -137,7 +136,7 @@ func (c *Clock) At(t Time, fn func()) *Timer {
 	}
 	ev := &event{when: t, seq: c.seq, fn: fn}
 	c.seq++
-	heap.Push(&c.events, ev)
+	c.events.push(ev)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return &Timer{clock: c, ev: ev}
 }
@@ -155,13 +154,10 @@ func (c *Clock) Step() bool {
 }
 
 func (c *Clock) step() bool {
-	if c.events.Len() == 0 {
+	if len(c.events) == 0 {
 		return false
 	}
-	ev, ok := heap.Pop(&c.events).(*event)
-	if !ok {
-		panic("simtime: corrupt event heap")
-	}
+	ev := c.events.remove(0)
 	c.now = ev.when
 	c.runEvent(ev)
 	return true
@@ -233,7 +229,7 @@ func (c *Clock) NextEventAt() (Time, bool) {
 }
 
 func (c *Clock) peek() *event {
-	if c.events.Len() == 0 {
+	if len(c.events) == 0 {
 		return nil
 	}
 	return c.events[0]
@@ -283,7 +279,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	c := t.clock
-	heap.Remove(&c.events, t.ev.index)
+	c.events.remove(t.ev.index)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return true
 }
@@ -323,10 +319,10 @@ func (t *Timer) ResetAt(at Time) bool {
 	ev.seq = c.seq
 	c.seq++
 	if ev.index >= 0 {
-		heap.Fix(&c.events, ev.index)
+		c.events.fix(ev.index)
 		return true
 	}
-	heap.Push(&c.events, ev)
+	c.events.push(ev)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return false
 }
@@ -350,44 +346,94 @@ type event struct {
 	seq  uint64
 	fn   func()
 	// index is the event's position in the clock's heap, maintained by the
-	// heap callbacks; -1 when not scheduled (unarmed, ran, or stopped).
+	// heap operations; -1 when not scheduled (unarmed, ran, or stopped).
 	// Tracking it is what lets Timer.Stop remove in O(log n) and
 	// Timer.Reset rearm in place without allocating.
 	index int
 }
 
+// before is the queue order: earlier when first, then earlier seq. Every
+// event draws a distinct seq, so this is a strict total order and the pop
+// sequence is fixed by the events alone, whatever the heap's layout.
+func (a *event) before(b *event) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
+
+// eventHeap is a binary min-heap of events under before. It is typed
+// rather than driven through container/heap, whose boxed Push/Pop and
+// interface calls to Less and Swap showed in long-hold profiles (DESIGN.md
+// §9). Sifts move a hole instead of swapping, so each level writes one
+// slot and one index.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		panic("simtime: push of non-event")
-	}
-	ev.index = len(*h)
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+// remove takes the event at position i out of the heap and marks it
+// unscheduled.
+func (h *eventHeap) remove(i int) *event {
+	s := *h
+	n := len(s) - 1
+	ev := s[i]
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i != n {
+		s[i] = last
+		h.fix(i)
+	}
 	ev.index = -1
 	return ev
+}
+
+// fix restores heap order after the event at position i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		parent := h[p]
+		if !ev.before(parent) {
+			break
+		}
+		h[j] = parent
+		parent.index = j
+		j = p
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down sifts the event at position i0 toward the leaves and reports
+// whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	n := len(h)
+	ev := h[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		child := h[c]
+		if !child.before(ev) {
+			break
+		}
+		h[i] = child
+		child.index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
