@@ -6,8 +6,8 @@ GO ?= go
 # hardware. BENCHTIME=1x gives a fast smoke recording.
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
-BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen)$$
+BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim ./internal/sniff
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkHijackedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen|BenchmarkCaptureHandleFrame)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 

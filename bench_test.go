@@ -14,6 +14,7 @@
 //	BenchmarkAblationBoundary       — detection-cliff sweep
 //	BenchmarkFleetCampaign          — fleet-scale campaign throughput
 //	BenchmarkReplayCampaign         — record-and-replay family at fleet scale
+//	BenchmarkHijackedHomeHour       — steady state of a long hold
 //
 // Each benchmark reports domain metrics alongside timing: achieved delay
 // windows, success fractions, residual windows. Run with:
@@ -193,6 +194,24 @@ func BenchmarkSimulatedHomeHour(b *testing.B) {
 		if tb.TotalAlarmCount() != 0 {
 			b.Fatalf("idle hour raised %d alarms", tb.TotalAlarmCount())
 		}
+	}
+}
+
+// BenchmarkHijackedHomeHour measures the steady state of a long hold —
+// the per-record path the attacker pays for hours: one sim-hour of the
+// ten-device home with C1's hub session bridged and a device event every
+// 15 sim-minutes, per iteration, after a warm-up hour on the same home.
+func BenchmarkHijackedHomeHour(b *testing.B) {
+	hh := newHijackedHome(b, 1)
+	hh.hour(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hh.hour(b)
+	}
+	b.StopTimer()
+	if n := hh.tb.TotalAlarmCount(); n != 0 {
+		b.Fatalf("hold raised %d alarms", n)
 	}
 }
 

@@ -80,7 +80,6 @@ type bridgeDir struct {
 	heldSince simtime.Time
 	index     int
 	forwarded int
-	held      int
 }
 
 // newBridge wires the two connections. srvConn may still be handshaking;
@@ -146,11 +145,7 @@ func (b *Bridge) Alive() bool { return !b.devClosed && !b.srvClosed }
 func (b *Bridge) dir(d sniff.Direction) *bridgeDir { return b.dirs[d-1] }
 
 // HeldCount reports how many records are queued in a direction.
-func (b *Bridge) HeldCount(d sniff.Direction) int { return b.dir(d).held - b.releasedCount(d) }
-
-func (b *Bridge) releasedCount(d sniff.Direction) int {
-	return b.dir(d).held - len(b.dir(d).queue)
-}
+func (b *Bridge) HeldCount(d sniff.Direction) int { return len(b.dir(d).queue) }
 
 // Holding reports whether a direction is currently held, and since when.
 func (b *Bridge) Holding(d sniff.Direction) (bool, simtime.Time) {
@@ -161,20 +156,24 @@ func (b *Bridge) Holding(d sniff.Direction) (bool, simtime.Time) {
 // ForwardedCount reports how many records flowed through a direction.
 func (b *Bridge) ForwardedCount(d sniff.Direction) int { return b.dir(d).forwarded }
 
+// onData reassembles records from one direction's byte stream. Complete
+// records are processed straight out of the buffer, whose partial tail then
+// moves to the front so one backing array serves the bridge's life; only a
+// held record is copied out, because it outlives this call.
 func (b *Bridge) onData(d sniff.Direction, data []byte) {
 	st := b.dir(d)
 	st.buf = append(st.buf, data...)
-	for len(st.buf) >= tlssim.HeaderLen {
-		n := int(st.buf[3])<<8 | int(st.buf[4])
-		total := tlssim.HeaderLen + n
-		if len(st.buf) < total {
-			return
+	off := 0
+	for len(st.buf)-off >= tlssim.HeaderLen {
+		rec := st.buf[off:]
+		total := tlssim.HeaderLen + (int(rec[3])<<8 | int(rec[4]))
+		if len(rec) < total {
+			break
 		}
-		rec := make([]byte, total)
-		copy(rec, st.buf[:total])
-		st.buf = st.buf[total:]
-		b.processRecord(d, st, rec)
+		off += total
+		b.processRecord(d, st, rec[:total])
 	}
+	st.buf = st.buf[:copy(st.buf, st.buf[off:])]
 }
 
 func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
@@ -204,8 +203,7 @@ func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
 				b.met.trace.Emit(b.clk.Now(), "core", "hold_start", d.String(), int64(info.WireLen))
 			}
 		}
-		st.held++
-		st.queue = append(st.queue, rec)
+		st.queue = append(st.queue, append([]byte(nil), rec...))
 		b.met.byDir(b.met.held, d).Inc()
 		b.met.heldDepth.Add(1)
 		return
@@ -226,7 +224,8 @@ func (b *Bridge) Release(d sniff.Direction) int {
 		st.forwarded++
 		b.send(d, rec)
 	}
-	st.queue = nil
+	clear(st.queue)
+	st.queue = st.queue[:0]
 	if n > 0 {
 		b.met.byDir(b.met.released, d).Add(uint64(n))
 		b.met.heldDepth.Add(int64(-n))

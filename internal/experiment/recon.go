@@ -54,6 +54,7 @@ func reconPoint(labels []string, topN int, seed int64) ReconResult {
 		return res
 	}
 	capture := sniff.NewCapture(tb.Clock)
+	capture.Record(0)
 	tb.LAN.AddTap(capture.Tap())
 	tb.Start()
 

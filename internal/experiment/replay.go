@@ -92,7 +92,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	atk.Capture.RetainPayloads(opts.RetainBytes)
+	atk.Capture.Record(opts.RetainBytes)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		res.Err = err

@@ -50,7 +50,7 @@ var ErrBadMessage = errors.New("hapsim: bad message")
 
 // Marshal encodes the message padded to at least padTo bytes.
 func (m Message) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32)
+	w := wire.NewWriter(max(32+len(m.AccessoryID)+len(m.Characteristic)+len(m.Value), padTo))
 	w.U8(uint8(m.Type))
 	w.String(m.AccessoryID)
 	w.U16(m.ID)

@@ -59,7 +59,7 @@ var ErrBadMessage = errors.New("httpsim: bad message")
 
 // Marshal encodes the message, padded with zeros to at least padTo bytes.
 func (m Message) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32 + len(m.Body))
+	w := wire.NewWriter(max(32+len(m.DeviceID)+len(m.Path)+len(m.Body), padTo))
 	w.U8(uint8(m.Type))
 	w.U16(m.ID)
 	w.String(m.DeviceID)

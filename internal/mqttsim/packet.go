@@ -91,7 +91,7 @@ var ErrBadPacket = errors.New("mqttsim: bad packet")
 // Marshal encodes the packet, padding with zeros to at least padTo bytes
 // so that its TLS record has the profile-specified wire length.
 func (p Packet) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32 + len(p.Payload))
+	w := wire.NewWriter(max(32+len(p.ClientID)+len(p.Topic)+len(p.Payload), padTo))
 	w.U8(uint8(p.Type))
 	switch p.Type {
 	case PacketConnect:

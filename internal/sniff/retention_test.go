@@ -61,7 +61,7 @@ func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
 	cap := sniff.NewCapture(simtime.NewClock())
 	reg := obs.NewRegistry()
 	cap.Instrument(reg)
-	cap.RetainPayloads(100)
+	cap.Record(100)
 	if cap.Retaining() != 100 {
 		t.Fatalf("Retaining = %d, want 100", cap.Retaining())
 	}
@@ -98,7 +98,7 @@ func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
 
 func TestRetentionBudgetIsPerFlow(t *testing.T) {
 	cap := sniff.NewCapture(simtime.NewClock())
-	cap.RetainPayloads(100)
+	cap.Record(100)
 	a := newFeeder(cap, 50000)
 	b := newFeeder(cap, 50001)
 	// Fill flow A past its budget; flow B stays small.
@@ -123,7 +123,7 @@ func TestRetentionBudgetIsPerFlow(t *testing.T) {
 
 func TestRetentionOversizedRecordEvictsItself(t *testing.T) {
 	cap := sniff.NewCapture(simtime.NewClock())
-	cap.RetainPayloads(40)
+	cap.Record(40)
 	f := newFeeder(cap, 50000)
 	f.record(60, 'z') // 65 wire bytes > whole budget
 	recs := cap.Records()
@@ -140,7 +140,7 @@ func TestRetentionOversizedRecordEvictsItself(t *testing.T) {
 
 func TestRetentionOffKeepsNothing(t *testing.T) {
 	cap := sniff.NewCapture(simtime.NewClock())
-	cap.RetainPayloads(-5) // negative clamps to off
+	cap.Record(-5) // negative clamps to metadata only
 	if cap.Retaining() != 0 {
 		t.Fatalf("Retaining = %d, want 0", cap.Retaining())
 	}
@@ -159,6 +159,7 @@ func TestOutOfOrderBufferCapDropsAndCounts(t *testing.T) {
 	cap := sniff.NewCapture(simtime.NewClock())
 	reg := obs.NewRegistry()
 	cap.Instrument(reg)
+	cap.Record(0)
 	f := newFeeder(cap, 50000)
 
 	// Non-contiguous future segments pile up in the reassembly buffer until
@@ -184,7 +185,7 @@ func TestOutOfOrderBufferCapDropsAndCounts(t *testing.T) {
 // testbed reuse.
 func TestResetMatchesFreshCapture(t *testing.T) {
 	run := func(cap *sniff.Capture) ([]sniff.RecordMeta, []sniff.FlowKey) {
-		cap.RetainPayloads(100)
+		cap.Record(100)
 		f := newFeeder(cap, 50000)
 		f.record(40, 'a')
 		f.record(40, 'b')
@@ -198,7 +199,7 @@ func TestResetMatchesFreshCapture(t *testing.T) {
 	wantRecs, wantFlows := run(fresh)
 
 	dirty := sniff.NewCapture(simtime.NewClock())
-	dirty.RetainPayloads(30)
+	dirty.Record(30)
 	dirty.OnRecord = func(sniff.RecordMeta) {}
 	h := newFeeder(dirty, 40000)
 	h.record(200, 'q')
@@ -231,7 +232,7 @@ func TestResetMatchesFreshCaptureOnTestbed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap.RetainPayloads(budget)
+		cap.Record(budget)
 		tb.LAN.AddTap(cap.Tap()) // before Start: the SYN orients the flow
 		tb.Start()
 		return tb

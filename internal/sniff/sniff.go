@@ -50,7 +50,7 @@ type RecordMeta struct {
 	// WireLen is the record's total on-the-wire size (header + body).
 	WireLen int
 	// Payload is the record's raw wire bytes (header included), retained
-	// only when the capture is in RetainPayloads mode and the per-flow
+	// only when the capture records with a nonzero budget and that per-flow
 	// budget has not evicted it. Replay attacks re-inject these bytes.
 	Payload []byte
 }
@@ -71,14 +71,20 @@ func (r RecordMeta) PlainLen() int {
 // the life of the flow. Overflow drops the new segment and counts it.
 const maxOOOSegments = 512
 
-// Capture reassembles TLS record metadata from observed frames.
+// Capture reassembles TLS record metadata from observed frames. It always
+// tracks its flow table (Flows, StreamSeq) and reports each record to
+// OnRecord, but keeps a record log (Records, FlowRecords) only after
+// Record: an always-on tap on a long hold would otherwise grow without
+// bound for the sake of readers that never come.
 type Capture struct {
 	clk     *simtime.Clock
 	flows   map[FlowKey]*flowState
 	records []RecordMeta
 
-	// retainBudget > 0 enables payload retention: each flow keeps up to
-	// that many raw record bytes, oldest-evicted-first.
+	// recording enables the record log; retainBudget > 0 additionally
+	// keeps each flow's raw record bytes, up to that many, oldest evicted
+	// first.
+	recording      bool
 	retainBudget   int
 	evictedRecords uint64
 	evictedBytes   uint64
@@ -97,6 +103,8 @@ type flowState struct {
 	streams [2]*dirStream
 	// retained indexes this flow's payload-bearing records (into
 	// Capture.records) in arrival order; retainedBytes is their budget use.
+	// Eviction compacts it in place, so its backing array stays bounded by
+	// the budget rather than by the flow's lifetime.
 	retained      []int
 	retainedBytes int
 }
@@ -115,7 +123,7 @@ func NewCapture(clk *simtime.Clock) *Capture {
 }
 
 // Reset returns the capture to its freshly constructed state — flows,
-// records, retention mode, eviction counters and observer hooks all
+// records, recording mode, eviction counters and observer hooks all
 // cleared — keeping its allocations, so pooled attacker captures behave
 // byte-identically to NewCapture(clk) under testbed reuse.
 func (c *Capture) Reset() {
@@ -123,21 +131,20 @@ func (c *Capture) Reset() {
 	// clear before truncating so retained payload references are released.
 	clear(c.records)
 	c.records = c.records[:0]
-	c.retainBudget = 0
+	c.recording, c.retainBudget = false, 0
 	c.evictedRecords, c.evictedBytes, c.oooDropped = 0, 0, 0
 	c.mEvictedRecords, c.mEvictedBytes, c.mOOODropped = nil, nil, nil
 	c.OnRecord = nil
 }
 
-// RetainPayloads turns on raw payload retention with the given per-flow
-// byte budget (0 turns it off). Only records observed after the call are
-// retained; when a flow exceeds its budget the oldest retained payloads
-// are evicted and counted.
-func (c *Capture) RetainPayloads(budgetPerFlow int) {
-	if budgetPerFlow < 0 {
-		budgetPerFlow = 0
-	}
-	c.retainBudget = budgetPerFlow
+// Record starts the record log. Only records observed after the call are
+// logged. budgetPerFlow > 0 also keeps each record's raw bytes, up to that
+// many per flow: when a flow exceeds its budget the oldest retained
+// payloads are evicted and counted. A budget of 0 (or less) logs metadata
+// only. Without a call to Record the capture keeps no log at all.
+func (c *Capture) Record(budgetPerFlow int) {
+	c.recording = true
+	c.retainBudget = max(budgetPerFlow, 0)
 }
 
 // Retaining reports the active per-flow retention budget (0 = off).
@@ -166,14 +173,15 @@ func (c *Capture) Tap() netsim.Tap {
 	return func(f netsim.Frame) { c.HandleFrame(f) }
 }
 
-// Records returns all records observed so far.
+// Records returns the records logged since Record (none if the capture
+// is not recording).
 func (c *Capture) Records() []RecordMeta {
 	out := make([]RecordMeta, len(c.records))
 	copy(out, c.records)
 	return out
 }
 
-// FlowRecords returns the records of one flow in order.
+// FlowRecords returns the logged records of one flow in order.
 func (c *Capture) FlowRecords(key FlowKey) []RecordMeta {
 	var out []RecordMeta
 	for _, r := range c.records {
@@ -313,34 +321,42 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 	}
 }
 
+// drainRecords emits every complete record at the head of the stream
+// buffer, then moves the partial tail to the front of the buffer, so the
+// buffer's backing array is reused for the life of the flow instead of
+// sliding forward and reallocating.
 func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
-	for len(st.buf) >= tlssim.HeaderLen {
-		n := int(st.buf[3])<<8 | int(st.buf[4])
-		total := tlssim.HeaderLen + n
-		if len(st.buf) < total {
-			return
+	off := 0
+	for len(st.buf)-off >= tlssim.HeaderLen {
+		rec := st.buf[off:]
+		total := tlssim.HeaderLen + (int(rec[3])<<8 | int(rec[4]))
+		if len(rec) < total {
+			break
 		}
+		off += total
 		meta := RecordMeta{
 			At:      c.clk.Now(),
 			Flow:    fs.key,
 			Dir:     dir,
-			Type:    tlssim.RecordType(st.buf[0]),
+			Type:    tlssim.RecordType(rec[0]),
 			WireLen: total,
 		}
-		if c.retainBudget > 0 {
-			// Clone before the truncation below reuses the stream buffer.
-			meta.Payload = append([]byte(nil), st.buf[:total]...)
-		}
-		st.buf = st.buf[total:]
-		idx := len(c.records)
-		c.records = append(c.records, meta)
-		if meta.Payload != nil {
-			c.retainRecord(fs, idx, total)
+		if c.recording {
+			if c.retainBudget > 0 {
+				// Clone: the stream buffer is reused once drained.
+				meta.Payload = append([]byte(nil), rec[:total]...)
+			}
+			idx := len(c.records)
+			c.records = append(c.records, meta)
+			if meta.Payload != nil {
+				c.retainRecord(fs, idx, total)
+			}
 		}
 		if c.OnRecord != nil {
 			c.OnRecord(meta)
 		}
 	}
+	st.buf = st.buf[:copy(st.buf, st.buf[off:])]
 }
 
 // retainRecord charges a freshly retained payload against its flow's
@@ -349,9 +365,10 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 func (c *Capture) retainRecord(fs *flowState, idx, size int) {
 	fs.retained = append(fs.retained, idx)
 	fs.retainedBytes += size
-	for fs.retainedBytes > c.retainBudget && len(fs.retained) > 0 {
-		old := fs.retained[0]
-		fs.retained = fs.retained[1:]
+	evict := 0
+	for fs.retainedBytes > c.retainBudget && evict < len(fs.retained) {
+		old := fs.retained[evict]
+		evict++
 		n := len(c.records[old].Payload)
 		c.records[old].Payload = nil
 		fs.retainedBytes -= n
@@ -360,4 +377,5 @@ func (c *Capture) retainRecord(fs *flowState, idx, size int) {
 		c.mEvictedRecords.Inc()
 		c.mEvictedBytes.Add(uint64(n))
 	}
+	fs.retained = fs.retained[:copy(fs.retained, fs.retained[evict:])]
 }

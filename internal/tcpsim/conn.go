@@ -476,25 +476,27 @@ func (c *Conn) processAck(ack uint32) {
 	if seqGT(ack, c.sndUna) {
 		c.sndUna = ack
 	}
-	progressed := false
-	for len(c.rtxq) > 0 {
-		e := c.rtxq[0]
+	acked := 0
+	for _, e := range c.rtxq {
 		if !seqLEQ(e.seq+e.seqLen(), ack) {
 			break
 		}
 		if !e.retransmits && e.sentAt > 0 {
 			c.sampleRTT(c.stack.clk.Now() - e.sentAt)
 		}
-		c.rtxq[0].payload = nil
-		c.rtxq = c.rtxq[1:]
 		if len(e.payload) > 0 {
 			c.stack.putChunk(e.payload)
 		}
-		progressed = true
+		acked++
 	}
-	if !progressed {
+	if acked == 0 {
 		return
 	}
+	// Compact in place: re-slicing the queue forward would shrink its
+	// capacity until the next append reallocates it.
+	n := copy(c.rtxq, c.rtxq[acked:])
+	clear(c.rtxq[n:])
+	c.rtxq = c.rtxq[:n]
 	c.stopRTO()
 	c.armRTO()
 	if len(c.rtxq) != 0 {

@@ -153,33 +153,6 @@ func (w *replayWindow) reset() {
 	w.highest, w.mask, w.started = 0, 0, false
 }
 
-// sealExplicit encodes an application record for the explicit-sequence
-// modes: an 8-byte record sequence on the wire, followed by the AES-GCM
-// ciphertext (legacy nonce) or the raw plaintext (null cipher). The sender
-// still advances its own counter — the weakness is on the receive path,
-// which trusts the carried sequence.
-func (c *Conn) sealExplicit(typ RecordType, plain []byte) []byte {
-	seq := c.sendSeq
-	c.sendSeq++
-	var body []byte
-	if c.mode == ModeNullCipher {
-		body = make([]byte, explicitSeqLen+len(plain))
-		binary.BigEndian.PutUint64(body[:explicitSeqLen], seq)
-		copy(body[explicitSeqLen:], plain)
-	} else {
-		nonce := c.seqNonce(seq)
-		aad := c.additionalData(typ, seq, len(plain)+16)
-		ct := c.sendAEAD.Seal(nil, nonce, plain, aad)
-		body = make([]byte, explicitSeqLen, explicitSeqLen+len(ct))
-		binary.BigEndian.PutUint64(body[:explicitSeqLen], seq)
-		body = append(body, ct...)
-	}
-	rec := make([]byte, HeaderLen+len(body))
-	fillHeader(rec, typ, len(body))
-	copy(rec[HeaderLen:], body)
-	return rec
-}
-
 // processExplicitSeq handles legacy-nonce and null-cipher application
 // records. Verification (when there is any) runs against the sequence the
 // record carries, so a verbatim replay passes it; the negotiated

@@ -115,6 +115,9 @@ type Conn struct {
 	// both before Seal/Open returns, so one pair serves every record.
 	nonceBuf [12]byte
 	aadBuf   [13]byte
+	// sbuf is the scratch Send seals each outbound record into: tcpsim
+	// copies the bytes into its own chunks before Send returns.
+	sbuf []byte
 
 	// mode/window are the negotiated replay protections (see replay.go):
 	// clients pick them at construction, servers adopt them from the hello.
@@ -225,8 +228,8 @@ func (c *Conn) Send(msg []byte) error {
 	if len(msg) > maxPlaintext {
 		return ErrRecordTooLarge
 	}
-	rec := c.seal(RecordApplication, msg)
-	return c.tcp.Send(rec)
+	c.sbuf = c.appendSealed(c.sbuf[:0], RecordApplication, msg)
+	return c.tcp.Send(c.sbuf)
 }
 
 // Close closes the session and its transport gracefully.
@@ -253,19 +256,17 @@ func (c *Conn) sendHello() {
 
 func (c *Conn) onData(b []byte) {
 	c.rbuf = append(c.rbuf, b...)
-	for !c.closed {
-		if len(c.rbuf) < HeaderLen {
-			return
+	off := 0
+	for !c.closed && len(c.rbuf)-off >= HeaderLen {
+		rec := c.rbuf[off:]
+		n := int(binary.BigEndian.Uint16(rec[3:5]))
+		if len(rec) < HeaderLen+n {
+			break
 		}
-		n := int(binary.BigEndian.Uint16(c.rbuf[3:5]))
-		if len(c.rbuf) < HeaderLen+n {
-			return
-		}
-		typ := RecordType(c.rbuf[0])
-		body := c.rbuf[HeaderLen : HeaderLen+n]
-		c.rbuf = c.rbuf[HeaderLen+n:]
-		c.processRecord(typ, body)
+		off += HeaderLen + n
+		c.processRecord(RecordType(rec[0]), rec[HeaderLen:HeaderLen+n])
 	}
+	c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[off:])]
 }
 
 func (c *Conn) processRecord(typ RecordType, body []byte) {
@@ -412,18 +413,35 @@ func (c *Conn) teardown(err error) {
 	}
 }
 
+// seal returns one sealed record in a fresh slice.
 func (c *Conn) seal(typ RecordType, plain []byte) []byte {
-	if c.mode != ModeSeqBound {
-		return c.sealExplicit(typ, plain)
-	}
-	nonce := c.seqNonce(c.sendSeq)
-	aad := c.additionalData(typ, c.sendSeq, len(plain)+16)
-	body := c.sendAEAD.Seal(nil, nonce, plain, aad)
+	return c.appendSealed(make([]byte, 0, ModeOverhead(c.mode)+len(plain)), typ, plain)
+}
+
+// appendSealed appends one sealed record (header included) to dst and
+// advances the send sequence. Seq-bound records carry only the AES-GCM
+// ciphertext, bound to the implicit sequence; the explicit-sequence modes
+// (see replay.go) put the 8-byte sequence on the wire ahead of the
+// ciphertext (legacy nonce) or of the raw plaintext (null cipher). The
+// sender advances its counter in every mode — the explicit modes' weakness
+// is on the receive path, which trusts the carried sequence. plain must
+// not overlap dst's spare capacity.
+func (c *Conn) appendSealed(dst []byte, typ RecordType, plain []byte) []byte {
+	seq := c.sendSeq
 	c.sendSeq++
-	rec := make([]byte, HeaderLen+len(body))
-	fillHeader(rec, typ, len(body))
-	copy(rec[HeaderLen:], body)
-	return rec
+	start := len(dst)
+	dst = append(dst, make([]byte, HeaderLen)...)
+	if c.mode != ModeSeqBound {
+		dst = binary.BigEndian.AppendUint64(dst, seq)
+	}
+	if c.mode == ModeNullCipher {
+		dst = append(dst, plain...)
+	} else {
+		aad := c.additionalData(typ, seq, len(plain)+16)
+		dst = c.sendAEAD.Seal(dst, c.seqNonce(seq), plain, aad)
+	}
+	fillHeader(dst[start:], typ, len(dst)-start-HeaderLen)
+	return dst
 }
 
 func plainRecord(typ RecordType, body []byte) []byte {

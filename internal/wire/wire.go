@@ -66,12 +66,12 @@ func (w *Writer) Bytes16(b []byte) *Writer {
 	return w
 }
 
-// PadTo extends the buffer with zero bytes to reach exactly n. If the
-// buffer is already longer, it is returned unchanged: padding can only
-// grow a message. Decoders ignore trailing padding.
+// PadTo extends the buffer with zero bytes to reach exactly n, growing it
+// at most once. If the buffer is already longer, it is returned unchanged:
+// padding can only grow a message. Decoders ignore trailing padding.
 func (w *Writer) PadTo(n int) *Writer {
-	for len(w.buf) < n {
-		w.buf = append(w.buf, 0)
+	if k := n - len(w.buf); k > 0 {
+		w.buf = append(w.buf, make([]byte, k)...)
 	}
 	return w
 }
