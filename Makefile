@@ -7,7 +7,7 @@ GO ?= go
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
 BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim ./internal/sniff
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkHijackedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkRandReseed|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen|BenchmarkCaptureHandleFrame)$$
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkHijackedHomeHour|BenchmarkFleetCampaign|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen|BenchmarkCaptureHandleFrame)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 
@@ -20,8 +20,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the phantomlint suite (internal/analysis: detflow,
-# goroutineguard, maporder, resetalloc, simdeterminism, timerguard,
-# traceguard, wallclockboundary) over the whole module. See DESIGN.md
+# goroutineguard, maporder, simdeterminism, timerguard, traceguard,
+# wallclockboundary) over the whole module. See DESIGN.md
 # §10 for what each analyzer enforces and the //lint:allow suppression
 # policy. Also usable as `go vet -vettool=$(go build -o /tmp/pl
 # ./cmd/phantomlint && echo /tmp/pl) ./...`.

@@ -46,44 +46,25 @@ type Attacker struct {
 }
 
 // NewAttacker joins the attacker to a LAN segment at the given CIDR
-// address. The host name must be unique within the network.
+// address. The host name must be unique within the network. The attacker's
+// TCP stack is seeded with seed and its randomness source with seed+1.
 func NewAttacker(nw *netsim.Network, lan *netsim.Segment, name, cidr string, gateway ipaddr.Addr, seed int64) (*Attacker, error) {
 	clk := nw.Clock()
 	ip := ipnet.NewStack(clk, nw.NewHost(name))
-	if _, err := ip.AddIface(lan, cidr); err != nil {
+	ifc, err := ip.AddIface(lan, cidr)
+	if err != nil {
 		return nil, err
 	}
 	if err := ip.SetDefaultGateway(gateway); err != nil {
 		return nil, err
 	}
-	return NewAttackerOn(clk, lan, ip, tcpsim.NewStack(clk, ip, tcpsim.Config{}, seed), simtime.NewRand(seed+1))
-}
-
-// NewAttackerOn assembles an attacker from pre-built components: an IP
-// stack already attached to the LAN with its default gateway set, a TCP
-// stack bound to it, and a randomness source. It exists so arena owners
-// (the experiment testbed) can feed pooled stacks through the exact wiring
-// NewAttacker performs; both paths behave byte-identically given
-// identically seeded inputs.
-func NewAttackerOn(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp *tcpsim.Stack, rng *simtime.Rand) (*Attacker, error) {
-	return NewAttackerWith(clk, lan, ip, tcp, rng, sniff.NewCapture(clk))
-}
-
-// NewAttackerWith is NewAttackerOn with a caller-supplied capture, so
-// arena owners can pool captures across homes (a freshly Reset capture is
-// byte-identical to a new one). The capture must be empty.
-func NewAttackerWith(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp *tcpsim.Stack, rng *simtime.Rand, cap *sniff.Capture) (*Attacker, error) {
-	ifaces := ip.Ifaces()
-	if len(ifaces) == 0 {
-		return nil, fmt.Errorf("core: attacker IP stack has no interface")
-	}
 	a := &Attacker{
 		Clock:     clk,
 		Host:      ip.Host(),
 		IP:        ip,
-		TCP:       tcp,
-		Capture:   cap,
-		rng:       rng,
+		TCP:       tcpsim.NewStack(clk, ip, tcpsim.Config{}, seed),
+		Capture:   sniff.NewCapture(clk),
+		rng:       simtime.NewRand(seed + 1),
 		acceptors: make(map[uint16]map[ipaddr.Addr]func(*tcpsim.Conn)),
 	}
 	// Forward traffic that is not being attacked; divert what is. Unknown
@@ -92,7 +73,7 @@ func NewAttackerWith(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, t
 	a.IP.Forwarding = true
 	a.IP.Divert = a.divert
 	a.TCP.SendRST = false
-	a.Spoofer = arp.NewSpoofer(clk, ifaces[0].ARP(), 0)
+	a.Spoofer = arp.NewSpoofer(clk, ifc.ARP(), 0)
 	a.Spoofer.Start()
 	// Passive sniffing of the WiFi medium (the radio, not the NIC).
 	lan.AddTap(a.Capture.Tap())

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 )
 
@@ -35,13 +34,6 @@ type Campaign struct {
 	CheckpointPath string
 	// Template drives device-mix sampling; zero value selects the default.
 	Template device.PopulationTemplate
-	// ReuseTestbeds recycles one testbed arena per shard worker through
-	// experiment.Testbed.Reset instead of building each home's testbed from
-	// scratch. Purely an allocation optimisation: recycled homes are
-	// byte-identical to fresh ones (the experiment package's identity tests
-	// prove it), so the flag changes neither results nor campaign identity —
-	// checkpoints written with it off resume with it on and vice versa.
-	ReuseTestbeds bool
 	// Progress, when set, observes completion: once before live work
 	// starts (reporting the checkpoint-resumed shard count, zero on a
 	// fresh start) and then after every live completed shard, with the
@@ -313,16 +305,8 @@ func (c Campaign) runShard(idx int) ShardResult {
 	// with it the discarded testbed's last reachable state) is released as
 	// soon as the next home starts.
 	snaps := obs.NewAccumulator()
-	// With ReuseTestbeds on, one arena cycles through the shard's homes;
-	// runHome hands it back (or a replacement) after each home. Amortised
-	// over ShardSize homes, steady-state testbed construction allocates
-	// almost nothing.
-	var arena *experiment.Testbed
 	for i := 0; i < n; i++ {
-		hr, tb := runHome(c.Spec, GenerateHome(pc, first+i), arena)
-		if c.ReuseTestbeds {
-			arena = tb
-		}
+		hr := runHome(c.Spec, GenerateHome(pc, first+i))
 		if hr.err != nil {
 			sr.HomesFailed++
 			if len(sr.Errors) < maxShardErrors {

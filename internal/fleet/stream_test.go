@@ -48,8 +48,7 @@ func (c Campaign) aggregateRetained(shards []ShardResult) Result {
 // TestStreamingAggregateMatchesRetained pins the tentpole guarantee: the
 // streaming aggregator (fold-as-they-land, retain nothing) produces a
 // Result byte-identical to the seed's retain-all-then-merge reference
-// (aggregateRetained), across worker counts, testbed reuse, and a
-// checkpointed resume.
+// (aggregateRetained), across worker counts and a checkpointed resume.
 func TestStreamingAggregateMatchesRetained(t *testing.T) {
 	// Reference: run every shard sequentially, retain the results, and
 	// aggregate them the old way.
@@ -64,20 +63,16 @@ func TestStreamingAggregateMatchesRetained(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		workers    int
-		reuse      bool
 		checkpoint bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=4", 4, false, false},
-		{"workers=16", 16, false, false},
-		{"workers=4 reuse", 4, true, false},
-		{"workers=16 reuse", 16, true, false},
-		{"workers=4 checkpoint", 4, false, true},
+		{"workers=1", 1, false},
+		{"workers=4", 4, false},
+		{"workers=16", 16, false},
+		{"workers=4 checkpoint", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCampaign(t)
 			c.Workers = tc.workers
-			c.ReuseTestbeds = tc.reuse
 			if tc.checkpoint {
 				c.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 			}

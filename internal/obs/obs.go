@@ -242,12 +242,9 @@ type Registry struct {
 	gauges   []*Gauge
 	hists    []*Histogram
 	byKey    map[string]any
-	// recycle parks handles across Reset so a recycled registry reaches a
-	// zero-alloc steady state once its key universe has been seen.
-	recycle map[string]any
-	// keybuf is the lookup-key scratch; handle constructors probe byKey and
-	// recycle with string(keybuf), allocating a key string only on a true
-	// first registration.
+	// keybuf is the lookup-key scratch; handle constructors probe byKey
+	// with string(keybuf), allocating a key string only on a true first
+	// registration.
 	keybuf []byte
 	trace  *Trace
 }
@@ -258,29 +255,6 @@ func NewRegistry() *Registry {
 		byKey: make(map[string]any),
 		trace: NewTrace(DefaultTraceCap),
 	}
-}
-
-// Reset returns the registry to its freshly constructed state while keeping
-// its allocations: every live handle is parked in a recycle pool and handed
-// back — zeroed — when the same name+labels are registered again, and the
-// trace ring is cleared in place. A reset registry's Snapshot is
-// byte-identical to a new registry's after the same registration and
-// mutation sequence.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	if r.recycle == nil {
-		r.recycle = make(map[string]any, len(r.byKey))
-	}
-	for k, m := range r.byKey {
-		r.recycle[k] = m
-		delete(r.byKey, k)
-	}
-	r.counters = r.counters[:0]
-	r.gauges = r.gauges[:0]
-	r.hists = r.hists[:0]
-	r.trace.Reset()
 }
 
 // insertSorted places h at its tuple-ordered position in s.
@@ -317,17 +291,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		}
 		return c
 	}
-	var c *Counter
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rc, ok := m.(*Counter); ok {
-			delete(r.recycle, rc.key)
-			rc.v = 0
-			c = rc
-		}
-	}
-	if c == nil {
-		c = &Counter{name: name, key: string(r.keybuf), labels: labels}
-	}
+	c := &Counter{name: name, key: string(r.keybuf), labels: labels}
 	r.byKey[c.key] = c
 	r.counters = insertSorted(r.counters, counterLess, c)
 	return c
@@ -347,17 +311,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 		}
 		return g
 	}
-	var g *Gauge
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rg, ok := m.(*Gauge); ok {
-			delete(r.recycle, rg.key)
-			rg.v, rg.max = 0, 0
-			g = rg
-		}
-	}
-	if g == nil {
-		g = &Gauge{name: name, key: string(r.keybuf), labels: labels}
-	}
+	g := &Gauge{name: name, key: string(r.keybuf), labels: labels}
 	r.byKey[g.key] = g
 	r.gauges = insertSorted(r.gauges, gaugeLess, g)
 	return g
@@ -383,20 +337,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic(fmt.Sprintf("obs: histogram %s bounds not ascending", name))
 		}
 	}
-	var h *Histogram
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rh, ok := m.(*Histogram); ok && boundsEqual(rh.bounds, bounds) {
-			delete(r.recycle, rh.key)
-			clear(rh.counts)
-			rh.sum, rh.n = 0, 0
-			h = rh
-		}
-	}
-	if h == nil {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		h = &Histogram{name: name, key: string(r.keybuf), labels: labels, bounds: b, counts: make([]uint64, len(b)+1)}
-	}
+	b := make([]float64, len(bounds))
+	copy(b, bounds)
+	h := &Histogram{name: name, key: string(r.keybuf), labels: labels, bounds: b, counts: make([]uint64, len(b)+1)}
 	r.byKey[h.key] = h
 	r.hists = insertSorted(r.hists, histogramLess, h)
 	return h

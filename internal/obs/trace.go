@@ -91,7 +91,7 @@ func (t *Trace) grow() {
 }
 
 // Reset drops all buffered events and drop counters but keeps the ring's
-// capacity and backing array, so a recycled trace records exactly like a
+// capacity and backing array, so a cleared trace records exactly like a
 // fresh one without reallocating.
 func (t *Trace) Reset() {
 	if t == nil {

@@ -148,7 +148,7 @@ func TestTraceBackingArrayBoundedByCapacity(t *testing.T) {
 }
 
 // Reset, and SetTraceCapacity with an unchanged capacity, keep the grown
-// backing array: a recycled trace does not grow again from scratch.
+// backing array: a cleared trace does not grow again from scratch.
 func TestTraceResetKeepsGrownArray(t *testing.T) {
 	r := NewRegistry()
 	r.SetTraceCapacity(100)

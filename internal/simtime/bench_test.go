@@ -56,9 +56,8 @@ func BenchmarkTimerReset(b *testing.B) {
 	}
 }
 
-// randBatch is the number of sources one BenchmarkNewRand or
-// BenchmarkRandReseed op seeds. A single extra allocation per source
-// then clears the allocation gate's absolute slack (64 allocs/op under
+// randBatch is the number of sources one BenchmarkNewRand op seeds. A
+// single extra allocation per source then clears the allocation gate's absolute slack (64 allocs/op under
 // -ci), so a return to a per-seed heap source — math/rand's 4.9 kB
 // lagged-Fibonacci table — fails the gate instead of hiding in it.
 const randBatch = 128
@@ -81,21 +80,6 @@ func BenchmarkNewRand(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < randBatch; j++ {
 			randSink += drawFew(NewRand(int64(i*randBatch+j)), hello)
-		}
-	}
-}
-
-// BenchmarkRandReseed is BenchmarkNewRand on the arena path: one source
-// rewound in place randBatch times per op. It must not allocate.
-func BenchmarkRandReseed(b *testing.B) {
-	hello := make([]byte, 48)
-	r := NewRand(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < randBatch; j++ {
-			r.Reseed(int64(i*randBatch + j))
-			randSink += drawFew(r, hello)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // the same seed produces the same event sequence.
 //
 // It is backed by math/rand/v2's PCG, whose whole state is two words, so
-// constructing or reseeding one is O(1) — a simulated home creates a
+// constructing one is O(1) — a simulated home creates a
 // source per TCP stack and draws only a handful of values from each. The
 // int64 seed is mapped to PCG's two seed words by the first two outputs
 // of SplitMix64 started at the seed, so adjacent seeds (Seed+1,
@@ -24,20 +24,12 @@ type Rand struct {
 
 // NewRand returns a deterministic source for the given seed.
 func NewRand(seed int64) *Rand {
-	r := &Rand{}
-	r.Reseed(seed)
-	r.r = *rand.New(&r.pcg)
-	return r
-}
-
-// Reseed rewinds the source to the start of the given seed's sequence, in
-// place. A reseeded Rand produces exactly the stream NewRand(seed) would,
-// without an allocation — the testbed arena reuses its generators across
-// homes this way.
-func (r *Rand) Reseed(seed int64) {
 	x := uint64(seed)
 	hi := splitMix64(&x)
+	r := &Rand{}
 	r.pcg.Seed(hi, splitMix64(&x))
+	r.r = *rand.New(&r.pcg)
+	return r
 }
 
 // splitMix64 advances the SplitMix64 state x and returns its next output.

@@ -18,20 +18,15 @@ func TestSplitMix64Reference(t *testing.T) {
 	}
 }
 
-// TestRandKnownAnswer pins the stream of seed 1 through every draw kind,
-// both from NewRand and from a Rand reseeded to 1 in the middle of
-// another seed's stream. Any change to the generator, the seed mapping
+// TestRandKnownAnswer pins the stream of seed 1 through every draw kind.
+// Any change to the generator, the seed mapping
 // or a method's word consumption moves these values — and with them
 // every fleet population, so checkpoint versions must move too.
 func TestRandKnownAnswer(t *testing.T) {
-	midStream := NewRand(99)
-	midStream.Int63()
-	midStream.Bytes(make([]byte, 3))
-	midStream.Reseed(1)
 	for _, tc := range []struct {
 		name string
 		r    *Rand
-	}{{"NewRand", NewRand(1)}, {"Reseed", midStream}} {
+	}{{"NewRand", NewRand(1)}} {
 		r := tc.r
 		t.Run(tc.name, func(t *testing.T) {
 			ints := []int64{r.Int63(), r.Int63(), int64(r.Intn(1000)), int64(r.Intn(1000))}

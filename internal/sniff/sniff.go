@@ -122,21 +122,6 @@ func NewCapture(clk *simtime.Clock) *Capture {
 	return &Capture{clk: clk, flows: make(map[FlowKey]*flowState)}
 }
 
-// Reset returns the capture to its freshly constructed state — flows,
-// records, recording mode, eviction counters and observer hooks all
-// cleared — keeping its allocations, so pooled attacker captures behave
-// byte-identically to NewCapture(clk) under testbed reuse.
-func (c *Capture) Reset() {
-	clear(c.flows)
-	// clear before truncating so retained payload references are released.
-	clear(c.records)
-	c.records = c.records[:0]
-	c.recording, c.retainBudget = false, 0
-	c.evictedRecords, c.evictedBytes, c.oooDropped = 0, 0, 0
-	c.mEvictedRecords, c.mEvictedBytes, c.mOOODropped = nil, nil, nil
-	c.OnRecord = nil
-}
-
 // Record starts the record log. Only records observed after the call are
 // logged. budgetPerFlow > 0 also keeps each record's raw bytes, up to that
 // many per flow: when a flow exceeds its budget the oldest retained

@@ -10,18 +10,19 @@ import (
 // BenchmarkHandshake measures one session handshake — key shares and
 // randoms drawn, hellos exchanged, both directions keyed — over a TCP
 // connection that stays up, so TCP setup is not in the loop. Each
-// operation revives both endpoints with Reset, as the pooled cloud
-// endpoints do.
+// operation starts a fresh Server and Client on that connection, as cloud
+// endpoints do on accept.
 func BenchmarkHandshake(b *testing.B) {
 	e := newEnv(b)
+	cliTCP, srvTCP := e.cli.TCP(), e.srv.TCP()
 	rng := simtime.NewRand(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.srv.Reset(e.srv.TCP(), rng)
-		e.cli.Reset(e.cli.TCP(), rng)
+		srv := Server(srvTCP, rng)
+		cli := Client(cliTCP, rng)
 		e.clk.RunFor(10 * time.Millisecond)
-		if !e.cli.Established() || !e.srv.Established() {
+		if !cli.Established() || !srv.Established() {
 			b.Fatal("handshake did not complete")
 		}
 	}

@@ -149,10 +149,6 @@ func (w *replayWindow) observe(seq uint64, size int) bool {
 	return true
 }
 
-func (w *replayWindow) reset() {
-	w.highest, w.mask, w.started = 0, 0, false
-}
-
 // processExplicitSeq handles legacy-nonce and null-cipher application
 // records. Verification (when there is any) runs against the sequence the
 // record carries, so a verbatim replay passes it; the negotiated
