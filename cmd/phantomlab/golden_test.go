@@ -16,8 +16,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 
 // The golden outputs pin the published numbers byte for byte: every table,
 // finding and assessment `phantomlab all` prints at seed 1 with its merged
-// metrics (trace ring included), and a default-spec 500-home fleet campaign
-// with its metrics. A change that alters any of them must regenerate the
+// metrics (trace ring included), the -json rows of Tables I–III, a
+// default-spec 500-home fleet campaign and 200-home cdelay, offline and
+// replay campaigns, each with its metrics. A change that alters any of them must regenerate the
 // files with -update and say why.
 //
 // The `all` metrics document is ~3.8 MB of JSON, almost all of it trace
@@ -33,15 +34,55 @@ func TestGoldenAll(t *testing.T) {
 	checkGolden(t, "all.metrics.json.gz", readFile(t, metrics))
 }
 
-func TestGoldenFleet(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "fleet.json")
-	metrics := filepath.Join(dir, "metrics.json")
-	if err := run([]string{"fleet", "-homes", "500", "-seed", "1", "-out", out, "-metrics", metrics}); err != nil {
-		t.Fatal(err)
+// TestGoldenTablesJSON pins the machine-readable rows of Tables I–III,
+// which carry the measured parameters and per-row fields the text tables
+// round or omit.
+func TestGoldenTablesJSON(t *testing.T) {
+	for _, table := range []string{"table1", "table2", "table3"} {
+		t.Run(table, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return run([]string{"-seed", "1", "-json", table})
+			})
+			checkGolden(t, table+".json", out)
+		})
 	}
-	checkGolden(t, "fleet.json", readFile(t, out))
-	checkGolden(t, "fleet.metrics.json", readFile(t, metrics))
+}
+
+// TestGoldenFleet pins the default campaign at 500 homes and one campaign
+// per other attack at 200 homes, each with its metrics.
+func TestGoldenFleet(t *testing.T) {
+	cases := []struct {
+		name  string
+		spec  string // campaign spec JSON; empty runs the default campaign
+		homes string
+	}{
+		{name: "fleet", homes: "500"},
+		// The default targets (contact and motion sensors) take no
+		// commands, so the cdelay campaign targets actuators instead.
+		{name: "fleet-cdelay", spec: `{"attack":"cdelay","targets":{"classes":["plug","bulb","lock","keypad"]}}`, homes: "200"},
+		{name: "fleet-offline", spec: `{"attack":"offline"}`, homes: "200"},
+		{name: "fleet-replay", spec: `{"attack":"replay"}`, homes: "200"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out := filepath.Join(dir, "fleet.json")
+			metrics := filepath.Join(dir, "metrics.json")
+			args := []string{"fleet", "-homes", c.homes, "-seed", "1", "-out", out, "-metrics", metrics}
+			if c.spec != "" {
+				path := filepath.Join(dir, "spec.json")
+				if err := os.WriteFile(path, []byte(c.spec), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				args = append(args, "-campaign", path)
+			}
+			if err := run(args); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, c.name+".json", readFile(t, out))
+			checkGolden(t, c.name+".metrics.json", readFile(t, metrics))
+		})
+	}
 }
 
 // captureStdout runs fn with os.Stdout redirected to a file and returns
