@@ -49,20 +49,16 @@ func run(args []string) error {
 	}
 	fmt.Printf("Profiling %s (%s %s, %s)\n\n", label, truth.Vendor, truth.Model, truth.Class)
 
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: *seed, Devices: []string{label}})
+	s, err := experiment.NewSession(experiment.TestbedConfig{Seed: *seed, Devices: []string{label}})
 	if err != nil {
 		return err
 	}
-	atk, err := tb.NewAttacker()
+	h, err := s.Hijack(label)
 	if err != nil {
 		return err
 	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		return err
-	}
-	tb.Start()
-	lab, err := tb.NewLab(h, label)
+	s.Start()
+	lab, err := s.NewLab(h, label)
 	if err != nil {
 		return err
 	}

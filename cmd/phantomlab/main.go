@@ -200,7 +200,7 @@ func run(args []string) error {
 	runOne := func(name string) error {
 		switch name {
 		case "table1":
-			rows := runTable(cloudLabels(), opts, *parallel)
+			rows := experiment.RunTableParallel(labels(device.CloudProfiles()), opts, max(*parallel, 1))
 			acc.Add(experiment.MergedMetrics(rows))
 			rowSources(rows)
 			if *jsonOut {
@@ -210,7 +210,7 @@ func run(args []string) error {
 		case "table2":
 			t2 := opts
 			t2.UnboundedDemo = 2 * time.Hour
-			rows := runTable(localLabels(), t2, *parallel)
+			rows := experiment.RunTableParallel(labels(device.LocalProfiles()), t2, max(*parallel, 1))
 			acc.Add(experiment.MergedMetrics(rows))
 			rowSources(rows)
 			if *jsonOut {
@@ -270,7 +270,7 @@ func run(args []string) error {
 			results := experiment.RunReconCoverage(labels, []int{3, 6, 10, 100}, *seed+1200)
 			experiment.FormatRecon(out, results)
 		case "replay":
-			results := experiment.RunReplayAssessment(catalogLabels(), experiment.ReplayOptions{
+			results := experiment.RunReplayAssessment(labels(device.Catalog()), experiment.ReplayOptions{
 				Seed: *seed + 1300, TraceCap: opts.TraceCap,
 			})
 			for _, r := range results {
@@ -595,35 +595,12 @@ func writeTrace(path, format, cmd string, srcs []timeline.Source) error {
 	return f.Close()
 }
 
-func runTable(labels []string, opts experiment.TableOptions, parallel int) []experiment.TableRow {
-	if parallel > 0 {
-		return experiment.RunTableParallel(labels, opts, parallel)
-	}
-	return experiment.RunTable(labels, opts)
-}
-
-func cloudLabels() []string {
-	var out []string
-	for _, p := range device.CloudProfiles() {
-		out = append(out, p.Label)
-	}
-	return out
-}
-
-func localLabels() []string {
-	var out []string
-	for _, p := range device.LocalProfiles() {
-		out = append(out, p.Label)
-	}
-	return out
-}
-
-// catalogLabels lists every catalog device in declaration order — the
-// replay assessment probes the whole population, hub children included.
-func catalogLabels() []string {
-	var out []string
-	for _, p := range device.Catalog() {
-		out = append(out, p.Label)
+// labels lists the profiles' labels in order. The replay assessment
+// probes the whole catalog, hub children included.
+func labels(ps []device.Profile) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Label
 	}
 	return out
 }

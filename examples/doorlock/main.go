@@ -24,14 +24,14 @@ func main() {
 }
 
 func run() error {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{
+	s, err := experiment.NewSession(experiment.TestbedConfig{
 		Seed:    13,
 		Devices: []string{"P1", "LK1"}, // presence sensor + August lock
 	})
 	if err != nil {
 		return err
 	}
-	if err := tb.Integration.AddRule(rules.Rule{
+	if err := s.Integration.AddRule(rules.Rule{
 		Name:      "lock-when-leaving",
 		Trigger:   rules.Trigger{Device: "P1", Attribute: "presence", Value: "away"},
 		Condition: rules.Eq{Device: "LK1", Attribute: "lock", Value: "unlocked"},
@@ -40,44 +40,40 @@ func run() error {
 		return err
 	}
 
-	atk, err := tb.NewAttacker()
+	hLock, err := s.Hijack("LK1")
 	if err != nil {
 		return err
 	}
-	hLock, err := tb.Hijack(atk, "LK1")
+	hPresence, err := s.Hijack("P1")
 	if err != nil {
 		return err
 	}
-	hPresence, err := tb.Hijack(atk, "P1")
-	if err != nil {
-		return err
-	}
-	tb.Start()
+	s.Start()
 
 	// Initial state: user home, door locked.
-	_ = tb.Device("P1").TriggerEvent("presence", "present")
-	_ = tb.Device("LK1").TriggerEvent("lock", "locked")
-	tb.Clock.RunFor(5 * time.Second)
+	_ = s.Device("P1").TriggerEvent("presence", "present")
+	_ = s.Device("LK1").TriggerEvent("lock", "locked")
+	s.Clock.RunFor(5 * time.Second)
 
 	// The attack: hold LK1's "unlocked" state update until the presence
 	// trigger has gone through (plus slack). The server then evaluates
 	// "lock unlocked?" against its stale "locked" belief and does nothing.
 	core.DisabledExecution(hLock, "LK1", hPresence, "P1", 5*time.Second)
 
-	fmt.Printf("[%7s] user unlocks the door and walks out\n", tb.Clock.Now().Round(time.Second))
-	_ = tb.Device("LK1").TriggerEvent("lock", "unlocked")
-	tb.Clock.RunFor(8 * time.Second)
+	fmt.Printf("[%7s] user unlocks the door and walks out\n", s.Clock.Now().Round(time.Second))
+	_ = s.Device("LK1").TriggerEvent("lock", "unlocked")
+	s.Clock.RunFor(8 * time.Second)
 
-	fmt.Printf("[%7s] user drives away (presence -> away)\n", tb.Clock.Now().Round(time.Second))
-	_ = tb.Device("P1").TriggerEvent("presence", "away")
+	fmt.Printf("[%7s] user drives away (presence -> away)\n", s.Clock.Now().Round(time.Second))
+	_ = s.Device("P1").TriggerEvent("presence", "away")
 
 	// The rest of the day.
-	tb.Clock.RunFor(8 * time.Hour)
+	s.Clock.RunFor(8 * time.Hour)
 
-	fmt.Printf("[%7s] end of day\n", tb.Clock.Now().Round(time.Second))
-	fmt.Printf("\nfront door state:          %s\n", tb.Device("LK1").State("lock"))
-	fmt.Printf("rule executions:           %d\n", len(tb.Integration.Engine().Executions("lock-when-leaving")))
-	fmt.Printf("server-side alarms:        %d\n", tb.TotalAlarmCount())
+	fmt.Printf("[%7s] end of day\n", s.Clock.Now().Round(time.Second))
+	fmt.Printf("\nfront door state:          %s\n", s.Device("LK1").State("lock"))
+	fmt.Printf("rule executions:           %d\n", len(s.Integration.Engine().Executions("lock-when-leaving")))
+	fmt.Printf("server-side alarms:        %d\n", s.TotalAlarmCount())
 	fmt.Println("\nthe automation that should have locked the door never fired;")
 	fmt.Println("the phantom delay reordered the cyber world against the physical one")
 	return nil

@@ -23,14 +23,14 @@ func main() {
 func run() error {
 	// A home with a Ring contact sensor (C2) behind its base station, and
 	// an automation server that pushes a notification when the door opens.
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{
+	s, err := experiment.NewSession(experiment.TestbedConfig{
 		Seed:    1,
 		Devices: []string{"C2"},
 	})
 	if err != nil {
 		return err
 	}
-	if err := tb.Integration.AddRule(rules.Rule{
+	if err := s.Integration.AddRule(rules.Rule{
 		Name:    "door-alert",
 		Trigger: rules.Trigger{Device: "C2", Attribute: "contact", Value: "open"},
 		Actions: []rules.Action{{Kind: rules.ActionNotify, Message: "front door opened"}},
@@ -38,37 +38,33 @@ func run() error {
 		return err
 	}
 
-	// The attacker: one compromised WiFi device on the same LAN. It ARP-
-	// poisons the base station and the router, splits the TCP connection,
-	// and relays everything transparently.
-	atk, err := tb.NewAttacker()
+	// The attacker (NewSession joined it to the LAN): one compromised WiFi
+	// device. It ARP-poisons the base station and the router, splits the
+	// TCP connection, and relays everything transparently.
+	hijacker, err := s.Hijack("C2")
 	if err != nil {
 		return err
 	}
-	hijacker, err := tb.Hijack(atk, "C2")
-	if err != nil {
-		return err
-	}
-	tb.Start()
+	s.Start()
 	fmt.Println("home is up; the Ring base station's TLS session runs through the attacker")
 
 	// Arm the e-Delay primitive: hold the next contact event for 25s
 	// (inside Ring's 60s window), then release it in order.
 	hijacker.EDelay("C2", 25*time.Second)
 
-	openedAt := tb.Clock.Now()
-	if err := tb.Device("C2").TriggerEvent("contact", "open"); err != nil {
+	openedAt := s.Clock.Now()
+	if err := s.Device("C2").TriggerEvent("contact", "open"); err != nil {
 		return err
 	}
-	fmt.Printf("[%6s] door physically opens\n", tb.Clock.Now())
+	fmt.Printf("[%6s] door physically opens\n", s.Clock.Now())
 
-	tb.Clock.RunFor(time.Minute)
+	s.Clock.RunFor(time.Minute)
 
-	for _, n := range tb.Integration.Notifications() {
+	for _, n := range s.Integration.Notifications() {
 		fmt.Printf("[%6s] user notified: %q (%.0fs after the door opened)\n",
 			n.At, n.Message, (n.At - openedAt).Seconds())
 	}
-	fmt.Printf("server-side alarms raised: %d\n", tb.TotalAlarmCount())
+	fmt.Printf("server-side alarms raised: %d\n", s.TotalAlarmCount())
 	fmt.Println("the event arrived intact, late, and nobody noticed — that is the phantom delay")
 	return nil
 }

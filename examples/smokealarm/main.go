@@ -23,14 +23,14 @@ func main() {
 }
 
 func run() error {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{
+	s, err := experiment.NewSession(experiment.TestbedConfig{
 		Seed:    7,
 		Devices: []string{"SD1"}, // Nest Protect smoke detector
 	})
 	if err != nil {
 		return err
 	}
-	if err := tb.Integration.AddRule(rules.Rule{
+	if err := s.Integration.AddRule(rules.Rule{
 		Name:    "smoke-alert",
 		Trigger: rules.Trigger{Device: "SD1", Attribute: "smoke", Value: "detected"},
 		Actions: []rules.Action{{Kind: rules.ActionNotify, Message: "SMOKE DETECTED IN KITCHEN"}},
@@ -38,19 +38,15 @@ func run() error {
 		return err
 	}
 
-	atk, err := tb.NewAttacker()
+	h, err := s.Hijack("SD1")
 	if err != nil {
 		return err
 	}
-	h, err := tb.Hijack(atk, "SD1")
-	if err != nil {
-		return err
-	}
-	tb.Start()
+	s.Start()
 
 	// The attacker knows SD1's profile (a one-time lab effort) and arms
 	// the maximum stealthy delay: release 2s before the predicted timeout.
-	lab, err := tb.NewLab(h, "SD1")
+	lab, err := s.NewLab(h, "SD1")
 	if err != nil {
 		return err
 	}
@@ -69,23 +65,23 @@ func run() error {
 	op.Cancel() // replace the manual op with the predicted-maximum one
 	h.MaxEDelay("SD1", 2*time.Second)
 
-	fireAt := tb.Clock.Now()
-	if err := tb.Device("SD1").TriggerEvent("smoke", "detected"); err != nil {
+	fireAt := s.Clock.Now()
+	if err := s.Device("SD1").TriggerEvent("smoke", "detected"); err != nil {
 		return err
 	}
-	fmt.Printf("[%8s] smoke fills the kitchen\n", tb.Clock.Now().Round(time.Millisecond))
+	fmt.Printf("[%8s] smoke fills the kitchen\n", s.Clock.Now().Round(time.Millisecond))
 
-	tb.Clock.RunFor(3 * time.Minute)
+	s.Clock.RunFor(3 * time.Minute)
 
 	// Profiling triggered its own probe events; the fire's notification is
 	// the one whose cause was generated when the smoke appeared.
-	for _, n := range tb.Integration.Notifications() {
+	for _, n := range s.Integration.Notifications() {
 		if n.Cause.GeneratedAt < fireAt {
 			continue
 		}
 		fmt.Printf("[%8s] phone finally buzzes: %q\n", n.At.Round(time.Millisecond), n.Message)
 		fmt.Printf("\nthe user learned about the fire %.0f seconds late\n", n.Latency().Seconds())
-		fmt.Printf("alarms raised anywhere in the pipeline: %d\n", tb.TotalAlarmCount())
+		fmt.Printf("alarms raised anywhere in the pipeline: %d\n", s.TotalAlarmCount())
 		return nil
 	}
 	return fmt.Errorf("notification never arrived")

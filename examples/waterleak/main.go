@@ -23,14 +23,14 @@ func main() {
 }
 
 func run() error {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{
+	s, err := experiment.NewSession(experiment.TestbedConfig{
 		Seed:    11,
 		Devices: []string{"W1", "V1"}, // Govee leak sensor + LeakSmart valve
 	})
 	if err != nil {
 		return err
 	}
-	if err := tb.Integration.AddRule(rules.Rule{
+	if err := s.Integration.AddRule(rules.Rule{
 		Name:    "shut-off-on-leak",
 		Trigger: rules.Trigger{Device: "W1", Attribute: "water", Value: "wet"},
 		Actions: []rules.Action{
@@ -41,19 +41,15 @@ func run() error {
 		return err
 	}
 
-	atk, err := tb.NewAttacker()
+	hSensor, err := s.Hijack("W1")
 	if err != nil {
 		return err
 	}
-	hSensor, err := tb.Hijack(atk, "W1")
+	hValve, err := s.Hijack("V1")
 	if err != nil {
 		return err
 	}
-	hValve, err := tb.Hijack(atk, "V1")
-	if err != nil {
-		return err
-	}
-	tb.Start()
+	s.Start()
 
 	// Stack the two primitives: the sensor's on-demand session tolerates
 	// minutes of event delay (Finding 1); the valve command adds its own
@@ -63,26 +59,26 @@ func run() error {
 		CommandHijacker: hValve, CommandOrigin: "V1", CommandHold: 18 * time.Second,
 	})
 
-	leakAt := tb.Clock.Now()
-	if err := tb.Device("W1").TriggerEvent("water", "wet"); err != nil {
+	leakAt := s.Clock.Now()
+	if err := s.Device("W1").TriggerEvent("water", "wet"); err != nil {
 		return err
 	}
-	fmt.Printf("[%8s] pipe bursts; sensor reports wet\n", tb.Clock.Now().Round(time.Millisecond))
+	fmt.Printf("[%8s] pipe bursts; sensor reports wet\n", s.Clock.Now().Round(time.Millisecond))
 
 	// Watch the valve while the water runs.
 	for i := 0; i < 5; i++ {
-		tb.Clock.RunFor(30 * time.Second)
+		s.Clock.RunFor(30 * time.Second)
 		fmt.Printf("[%8s] valve state: %s\n",
-			tb.Clock.Now().Round(time.Second), stateOr(tb, "V1", "valve", "open"))
+			s.Clock.Now().Round(time.Second), stateOr(s.Testbed, "V1", "valve", "open"))
 	}
 
-	at, ok := actuation(tb, "V1")
+	at, ok := actuation(s.Testbed, "V1")
 	if !ok {
 		return fmt.Errorf("valve never closed")
 	}
 	fmt.Printf("\nvalve closed %.0f seconds after the leak began (stacked e-Delay + c-Delay)\n",
 		(at - leakAt).Seconds())
-	fmt.Printf("alarms raised: %d\n", tb.TotalAlarmCount())
+	fmt.Printf("alarms raised: %d\n", s.TotalAlarmCount())
 	return nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"repro/internal/device"
 )
 
 // MarginPoint is one release-margin setting evaluated over several trials:
@@ -35,70 +33,46 @@ func RunMarginAblation(label string, margins []time.Duration, trials int, seed i
 
 func marginPoint(label string, margin time.Duration, trials int, seed int64) MarginPoint {
 	res := MarginPoint{Margin: margin, Trials: trials}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{label}})
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{label}}, label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	atk, err := tb.NewAttacker()
+	lab, err := s.NewLab(h, label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
-	lab, err := tb.NewLab(h, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h.ArmPredictor(measuredFromProfile(mustOwner(tb, label)))
+	// Arm with ground truth instead of profiling: the margin under study
+	// is the only variable. TestProfilerRecoversDeployedProfiles shows the
+	// profiler recovers this model's parameters, so the shortcut changes
+	// no prediction.
+	h.ArmPredictor(MeasuredFromProfile(s.SessionOwnerProfile(label)))
 
 	var total time.Duration
 	for i := 0; i < trials; i++ {
-		alarmsBefore := tb.TotalAlarmCount()
-		acceptedBefore := countAccepted(tb, lab.EventOrigin)
-		op := h.MaxEDelay(lab.EventOrigin, margin)
-		released := false
-		var held time.Duration
-		op.OnReleased = func(d time.Duration) { released, held = true, d }
-		if err := lab.TriggerEvent(); err != nil {
+		r, err := s.Hold(h.MaxEDelay(lab.EventOrigin, margin), lab.EventOrigin, lab.TriggerEvent, 10*time.Minute)
+		if err != nil {
 			res.Err = err
 			return res
 		}
-		deadline := tb.Clock.Now() + 10*time.Minute
-		for !released && tb.Clock.Now() < deadline {
-			if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-				break
-			}
-			tb.Clock.Step()
-		}
-		tb.Clock.RunFor(5 * time.Second)
-		if !released {
+		if !r.Released {
 			continue // the session died holding; neither stealthy nor accepted
 		}
-		total += held
-		if tb.SessionOwner(label).Connected() && tb.TotalAlarmCount() == alarmsBefore {
+		total += r.Held
+		if s.SessionOwner(label).Connected() && r.Alarms == 0 {
 			res.Stealthy++
 		}
-		if countAccepted(tb, lab.EventOrigin) > acceptedBefore {
+		if r.Accepted > 0 {
 			res.Accepted++
 		}
 		// Let the session recover (or reconnect) between trials.
-		tb.Clock.RunFor(time.Minute)
+		s.Clock.RunFor(time.Minute)
 	}
 	if trials > 0 {
 		res.MeanDelay = total / time.Duration(trials)
 	}
 	return res
-}
-
-func mustOwner(tb *Testbed, label string) device.Profile {
-	return tb.SessionOwner(label).Profile()
 }
 
 // BoundaryPoint is one hold duration around a device's window edge: does
@@ -124,42 +98,29 @@ func RunDetectionBoundary(label string, holds []time.Duration, seed int64) []Bou
 
 func boundaryPoint(label string, hold time.Duration, seed int64) BoundaryPoint {
 	res := BoundaryPoint{Hold: hold}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{label}})
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{label}}, label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
-	owner := tb.SessionOwner(label)
 	bridge, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge for %s", label)
 		return res
 	}
 
-	p := tb.Profile(label)
+	p := s.Profile(label)
 	h.EDelay(label, hold)
-	if err := tb.Device(label).TriggerEvent(p.EventAttr, p.EventValues[0]); err != nil {
+	if err := s.Device(label).TriggerEvent(p.EventAttr, p.EventValues[0]); err != nil {
 		res.Err = err
 		return res
 	}
-	tb.Clock.RunFor(hold + time.Minute)
+	s.Clock.RunFor(hold + time.Minute)
 
 	died, _ := bridge.DeviceClosed()
 	res.SessionDied = died
-	res.EventAccepted = countAccepted(tb, label) > 0
-	res.Alarms = tb.TotalAlarmCount()
-	_ = owner
+	res.EventAccepted = s.AcceptedEventCount(label) > 0
+	res.Alarms = s.TotalAlarmCount()
 	return res
 }
 

@@ -37,37 +37,26 @@ func RunFindings(seed int64) []FindingResult {
 // afterwards.
 func runFinding1(seed int64) (res FindingResult) {
 	res = FindingResult{ID: 1, Title: "On-demand sessions hide timeouts from the server"}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{"M7"}})
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{"M7"}}, "M7")
+	defer func() { res.Metrics = s.snapshot() }()
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, "M7")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 
 	// Delay the event well past the device's own 30s give-up point but
 	// inside the server's 5-minute idle window.
 	const hold = 3 * time.Minute
 	h.EDelay("M7", hold)
-	if err := tb.Device("M7").TriggerEvent("motion", "active"); err != nil {
+	if err := s.Device("M7").TriggerEvent("motion", "active"); err != nil {
 		res.Err = err
 		return res
 	}
-	tb.Clock.RunFor(hold + time.Minute)
+	s.Clock.RunFor(hold + time.Minute)
 
-	deviceGaveUp := tb.Device("M7").LogCount("closed") > 0
-	accepted := countAccepted(tb, "M7") == 1
-	alarms := tb.TotalAlarmCount()
+	deviceGaveUp := s.Device("M7").LogCount("closed") > 0
+	accepted := s.AcceptedEventCount("M7") == 1
+	alarms := s.TotalAlarmCount()
 	res.Holds = deviceGaveUp && accepted && alarms == 0
 	res.Detail = fmt.Sprintf("device timed out locally=%v, event accepted after %v=%v, server alarms=%d",
 		deviceGaveUp, hold, accepted, alarms)
@@ -80,23 +69,12 @@ func runFinding1(seed int64) (res FindingResult) {
 // raises an alarm — even when the stale one finally dies.
 func runFinding2(seed int64) (res FindingResult) {
 	res = FindingResult{ID: 2, Title: "Half-open connections postpone device-offline alarms"}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{"C1"}})
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{"C1"}}, "C1")
+	defer func() { res.Metrics = s.snapshot() }()
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, "C1")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 	firstBridge, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge")
@@ -107,20 +85,20 @@ func runFinding2(seed int64) (res FindingResult) {
 
 	// Force a device-side timeout by holding its keep-alives forever.
 	h.DelayKeepAlive(0)
-	tb.Clock.RunFor(2 * time.Minute) // device times out (~47s) and reconnects (+3s)
+	s.Clock.RunFor(2 * time.Minute) // device times out (~47s) and reconnects (+3s)
 
 	newBridge, ok := h.CurrentBridge()
 	reconnected := ok && newBridge != firstBridge
 	srvClosed, _ := firstBridge.ServerClosed()
-	ep := tb.Endpoints["smartthings.com"]
+	ep := s.Endpoints["smartthings.com"]
 	halfOpen := ep.Broker().HalfOpenCount("H1")
-	alarmsDuring := tb.TotalAlarmCount()
+	alarmsDuring := s.TotalAlarmCount()
 
 	// Now let the stale connection die; a live replacement exists, so the
 	// server still must not alarm.
 	firstBridge.CloseServerSide()
-	tb.Clock.RunFor(30 * time.Second)
-	alarmsAfter := tb.TotalAlarmCount()
+	s.Clock.RunFor(30 * time.Second)
+	alarmsAfter := s.TotalAlarmCount()
 
 	res.Holds = reconnected && !srvClosed && halfOpen == 1 && alarmsDuring == 0 && alarmsAfter == 0
 	res.Detail = fmt.Sprintf("reconnected=%v, stale conn kept open=%v, half-open sessions=%d, alarms=%d then %d",
@@ -134,23 +112,12 @@ func runFinding2(seed int64) (res FindingResult) {
 // the device is merely idle, indefinitely.
 func runFinding3(seed int64) (res FindingResult) {
 	res = FindingResult{ID: 3, Title: "Unidirectional liveness checking: servers never probe"}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{"C1"}})
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{"C1"}}, "C1")
+	defer func() { res.Metrics = s.snapshot() }()
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, "C1")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 	b, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge")
@@ -162,15 +129,15 @@ func runFinding3(seed int64) (res FindingResult) {
 	// server spontaneously sends toward the device.
 	h.DelayKeepAlive(0)
 	before := b.ForwardedCount(sniff.DirServerToClient)
-	tb.Clock.RunFor(30 * time.Minute)
+	s.Clock.RunFor(30 * time.Minute)
 	after := b.ForwardedCount(sniff.DirServerToClient)
 
-	ep := tb.Endpoints["smartthings.com"]
+	ep := s.Endpoints["smartthings.com"]
 	if _, live := ep.Broker().ActiveSession("H1"); !live {
 		res.Detail = "server dropped the session"
 		return res
 	}
-	alarms := tb.TotalAlarmCount()
+	alarms := s.TotalAlarmCount()
 	res.Holds = after == before && alarms == 0
 	res.Detail = fmt.Sprintf("server-initiated records in 30min of silence: %d, alarms: %d, session still believed live: true",
 		after-before, alarms)

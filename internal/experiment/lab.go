@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/simtime"
@@ -35,14 +36,9 @@ func (tb *Testbed) NewLab(h *core.Hijacker, label string) (*core.Lab, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := 0
+		var send func(label, attr, value string, done func(cloud.CommandOutcome)) error
 		if owner.Transport == device.TransportHAP {
-			lab.CommandOrigin = label
-			lab.TriggerCommand = func() error {
-				v := p.EventValues[j%len(p.EventValues)]
-				j++
-				return tb.LocalHub.SendCommand(label, p.CommandAttr, v, nil)
-			}
+			send = tb.LocalHub.SendCommand
 			lab.ServerAlarmAt = func() (simtime.Time, bool) {
 				alarms := tb.LocalHub.Alarms()
 				if len(alarms) == 0 {
@@ -55,12 +51,14 @@ func (tb *Testbed) NewLab(h *core.Hijacker, label string) (*core.Lab, error) {
 			if !ok {
 				return nil, fmt.Errorf("experiment: no endpoint for %s", owner.ServerDomain)
 			}
-			lab.CommandOrigin = label
-			lab.TriggerCommand = func() error {
-				v := p.EventValues[j%len(p.EventValues)]
-				j++
-				return ep.SendCommand(label, p.CommandAttr, v, nil)
-			}
+			send = ep.SendCommand
+		}
+		j := 0
+		lab.CommandOrigin = label
+		lab.TriggerCommand = func() error {
+			v := p.EventValues[j%len(p.EventValues)]
+			j++
+			return send(label, p.CommandAttr, v, nil)
 		}
 	}
 	return lab, nil

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/sniff"
-	"repro/internal/tcpsim"
 	"repro/internal/tlssim"
 )
 
@@ -76,80 +75,54 @@ func RunReplayAssessment(labels []string, opts ReplayOptions) []ReplayResult {
 
 func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResult) {
 	res = ReplayResult{Label: label, Class: ReplayProtected}
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{label}, TraceCap: opts.TraceCap})
+	s, err := NewSession(TestbedConfig{Seed: seed, Devices: []string{label}, TraceCap: opts.TraceCap})
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	owner := tb.SessionOwnerProfile(label)
+	defer func() { res.Metrics = s.Metrics.Snapshot() }()
+	owner := s.SessionOwnerProfile(label)
 	res.Mode = owner.ReplayMode
 	res.Window = owner.ReplayWindow
-	res.CloudDedup = tb.byLabel[label].CloudDedup
+	res.CloudDedup = s.byLabel[label].CloudDedup
 
-	atk, err := tb.NewAttacker()
+	s.Attacker.Capture.Record(opts.RetainBytes)
+	h, err := s.Hijack(label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	atk.Capture.Record(opts.RetainBytes)
-	h, err := tb.Hijack(atk, label)
+	s.Start()
+	lab, err := s.NewLab(h, label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	tb.Start()
-	lab, err := tb.NewLab(h, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	eng := replay.NewEngine(atk)
-	eng.Instrument(tb.Metrics)
+	eng := replay.NewEngine(s.Attacker)
+	eng.Instrument(s.Metrics)
 
 	// Record: let the session settle, then capture one genuine event. The
 	// post-trigger run covers delivery, cloud-to-cloud forwarding, and —
 	// for on-demand devices — the burst connection's teardown, so the raw
 	// path below sees the session state a real attacker would.
-	tb.Clock.RunFor(3 * time.Second)
+	s.Clock.RunFor(3 * time.Second)
 	if err := lab.TriggerEvent(); err != nil {
 		res.Err = err
 		return res
 	}
-	tb.Clock.RunFor(3 * time.Second)
+	s.Clock.RunFor(3 * time.Second)
 
-	records := atk.Capture.Records()
+	records := s.Attacker.Capture.Records()
 	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner.Label, label, records)
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no retained event record for %s", label)
 		return res
 	}
 
-	// Raw injection on the live session.
-	before := tb.AcceptedEventCount(label)
-	if err := eng.RawReplay(h, records[idx]); err == nil {
-		tb.Clock.RunFor(5 * time.Second)
-		res.RawAccepted = tb.AcceptedEventCount(label) > before
-		eng.ReportOutcome(label, res.RawAccepted)
-	}
-
-	// Application-layer replay from a fresh session, when the capture is
-	// readable at all (ErrNotReadable otherwise, before any connection).
-	if !res.RawAccepted {
-		target, err := tb.HijackTarget(label)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		before = tb.AcceptedEventCount(label)
-		server := tcpsim.Endpoint{Addr: target.ServerAddr, Port: target.ServerPort}
-		if _, err := eng.AppReplay(server, replay.SessionPrefix(records, idx)); err == nil {
-			tb.Clock.RunFor(5 * time.Second)
-			res.AppAccepted = tb.AcceptedEventCount(label) > before
-			eng.ReportOutcome(label, res.AppAccepted)
-		}
-	}
-
+	// Raw injection on the live session, then application-layer replay
+	// from a fresh session when the capture is readable at all
+	// (ErrNotReadable otherwise, before any connection).
+	res.RawAccepted, res.AppAccepted = s.Replay(eng, h, label, records, idx, true, true)
 	switch {
 	case res.RawAccepted:
 		res.Class = ReplayRawVulnerable

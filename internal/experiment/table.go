@@ -88,13 +88,7 @@ type TableRow struct {
 // RunTable measures every given catalog label, building a fresh hijacked
 // testbed per device (as the paper measures devices one at a time).
 func RunTable(labels []string, opts TableOptions) []TableRow {
-	opts.fill()
-	rows := make([]TableRow, 0, len(labels))
-	for i, label := range labels {
-		row := measureDevice(label, opts, opts.Seed+int64(i)*101)
-		rows = append(rows, row)
-	}
-	return rows
+	return RunTableParallel(labels, opts, 1)
 }
 
 // RunTable1 reproduces Table I (cloud-connected devices).
@@ -128,163 +122,85 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	row.Truth = truth
 	row.HasCommands = truth.CommandAttr != ""
 
-	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: []string{label}, TraceCap: opts.TraceCap})
-	if err != nil {
-		row.Err = err
-		return row
-	}
+	s, h, err := startHijacked(TestbedConfig{Seed: seed, Devices: []string{label}, TraceCap: opts.TraceCap}, label)
 	// Snapshot whatever the run produced, even on a failed measurement.
-	defer func() { row.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
+	defer func() { row.Metrics = s.snapshot() }()
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	tb.Start()
 
-	lab, err := tb.NewLab(h, label)
+	lab, err := s.NewLab(h, label)
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	lab.Trials = opts.Trials
 	lab.Recovery = opts.Recovery
-	markPhase(tb, "phase_start", "profile", 0)
+	s.markPhase("phase_start", "profile", 0)
 	m, err := lab.Profile()
-	markPhase(tb, "phase_end", "profile", 0)
+	s.markPhase("phase_end", "profile", 0)
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	row.Measured = m
-	row.ParametersVerified = parametersMatch(m, truth, tb)
+	row.ParametersVerified = parametersMatch(m, truth, s.Testbed)
 
 	// Profiling intentionally causes timeouts in the attacker's own lab;
 	// stealth is judged only over the demonstration attack that follows.
-	alarmsBeforeDemo := tb.TotalAlarmCount()
+	alarmsBeforeDemo := s.TotalAlarmCount()
 
 	// Demonstrate the maximum stealthy delays.
 	h.ArmPredictor(m)
-	markPhase(tb, "phase_start", "demo-event", 0)
-	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrateEventDelay(tb, h, lab, opts)
-	markPhase(tb, "phase_end", "demo-event", int64(row.EventDelayAchieved))
+	s.markPhase("phase_start", "demo-event", 0)
+	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrate(s, h, lab, opts, false)
+	s.markPhase("phase_end", "demo-event", int64(row.EventDelayAchieved))
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	if row.HasCommands && lab.TriggerCommand != nil {
-		markPhase(tb, "phase_start", "demo-command", 0)
-		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrateCommandDelay(tb, h, lab, opts)
-		markPhase(tb, "phase_end", "demo-command", int64(row.CommandDelayAchieved))
+		s.markPhase("phase_start", "demo-command", 0)
+		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrate(s, h, lab, opts, true)
+		s.markPhase("phase_end", "demo-command", int64(row.CommandDelayAchieved))
 		if err != nil {
 			row.Err = err
 			return row
 		}
 	}
-	row.StealthOK = tb.TotalAlarmCount() == alarmsBeforeDemo
+	row.StealthOK = s.TotalAlarmCount() == alarmsBeforeDemo
 	return row
 }
 
-// demonstrateEventDelay holds one event for the maximum predicted-safe
-// time (or UnboundedDemo when no timeout bounds it) and verifies the
-// event is still accepted.
-func demonstrateEventDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions) (time.Duration, bool, error) {
-	m := h.Predictor().Measured()
-	_, _, bounded := m.EventWindow()
-
-	var achieved time.Duration
-	released := false
-	var op *core.DelayOp
-	if bounded {
-		op = h.MaxEDelay(lab.EventOrigin, opts.Margin)
-	} else {
-		op = h.EDelay(lab.EventOrigin, opts.UnboundedDemo)
-	}
-	op.OnReleased = func(d time.Duration) { achieved, released = d, true }
-
-	eventsBefore := countAccepted(tb, lab.EventOrigin)
-	if err := lab.TriggerEvent(); err != nil {
+// demonstrate holds one event (or, with command set, one command) for
+// the maximum predicted-safe time, or UnboundedDemo when no timeout bounds
+// it, and checks that a delayed event is still accepted. It reports the
+// achieved hold and whether it was unbounded.
+func demonstrate(s *Session, h *core.Hijacker, lab *core.Lab, opts TableOptions, command bool) (time.Duration, bool, error) {
+	r, bounded, err := s.HoldMax(h, lab, command, opts.Margin, opts.UnboundedDemo, opts.UnboundedDemo+10*time.Minute)
+	if err != nil {
 		return 0, false, err
 	}
-	limit := opts.UnboundedDemo + 10*time.Minute
-	deadline := tb.Clock.Now() + limit
-	for !released && tb.Clock.Now() < deadline {
-		if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-			tb.Clock.RunUntil(deadline)
-			break
-		}
-		tb.Clock.Step()
+	kind, origin := "event", lab.EventOrigin
+	if command {
+		kind, origin = "command", lab.CommandOrigin
 	}
-	tb.Clock.RunFor(5 * time.Second)
-	if !released {
-		return 0, false, fmt.Errorf("experiment: %s event delay never released", lab.EventOrigin)
+	if !r.Released {
+		return 0, false, fmt.Errorf("experiment: %s %s delay never released", origin, kind)
 	}
-	if countAccepted(tb, lab.EventOrigin) <= eventsBefore {
-		return 0, false, fmt.Errorf("experiment: %s delayed event not accepted", lab.EventOrigin)
+	if !command && r.Accepted <= 0 {
+		return 0, false, fmt.Errorf("experiment: %s delayed event not accepted", origin)
 	}
-	return achieved, !bounded, nil
-}
-
-func demonstrateCommandDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions) (time.Duration, bool, error) {
-	m := h.Predictor().Measured()
-	_, _, bounded := m.CommandWindow()
-
-	var achieved time.Duration
-	released := false
-	var op *core.DelayOp
-	if bounded {
-		op = h.MaxCDelay(lab.CommandOrigin, opts.Margin)
-	} else {
-		op = h.CDelay(lab.CommandOrigin, opts.UnboundedDemo)
-	}
-	op.OnReleased = func(d time.Duration) { achieved, released = d, true }
-	if err := lab.TriggerCommand(); err != nil {
-		return 0, false, err
-	}
-	limit := opts.UnboundedDemo + 10*time.Minute
-	deadline := tb.Clock.Now() + limit
-	for !released && tb.Clock.Now() < deadline {
-		if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-			tb.Clock.RunUntil(deadline)
-			break
-		}
-		tb.Clock.Step()
-	}
-	tb.Clock.RunFor(5 * time.Second)
-	if !released {
-		return 0, false, fmt.Errorf("experiment: %s command delay never released", lab.CommandOrigin)
-	}
-	return achieved, !bounded, nil
+	return r.Held, !bounded, nil
 }
 
 // markPhase records an attack-phase boundary in the testbed's flight
 // recorder, giving the timeline exporter its top-level spans.
-func markPhase(tb *Testbed, event, name string, value int64) {
+func (tb *Testbed) markPhase(event, name string, value int64) {
 	if tr := tb.Metrics.Trace(); tr.Enabled() {
 		tr.Emit(tb.Clock.Now(), "experiment", event, name, value)
 	}
-}
-
-func countAccepted(tb *Testbed, origin string) int {
-	n := 0
-	if tb.LocalHub != nil {
-		for _, ev := range tb.LocalHub.Events() {
-			if ev.Device == origin {
-				n++
-			}
-		}
-	}
-	for _, ev := range tb.Integration.Events() {
-		if ev.Device == origin {
-			n++
-		}
-	}
-	return n
 }
 
 // parametersMatch validates the profiler output against ground truth with

@@ -25,7 +25,7 @@ func Table3Cases() []Case {
 // consequence ("late alert").
 func lateNotificationJudge(threshold time.Duration) func(*CaseRun) (bool, string) {
 	return func(cr *CaseRun) (bool, string) {
-		lat, ok := notificationLatency(cr.TB)
+		lat, ok := notificationLatency(cr.Testbed)
 		if !ok {
 			return false, "no notification delivered"
 		}
@@ -134,16 +134,14 @@ func case3() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			closedAt := cr.TB.Integration.Events()
-			_ = closedAt
-			at, ok := actuationAt(cr.TB, "LK1", "lock", "locked")
+			at, ok := actuationAt(cr.Testbed, "LK1", "lock", "locked")
 			if !ok {
 				return true, "door never locked"
 			}
 			// The scenario starts right after Prepare+Attack settle; judge
 			// by comparing against the last door-close event generation.
 			var closeGen time.Duration
-			for _, ev := range cr.TB.Integration.Events() {
+			for _, ev := range cr.Integration.Events() {
 				if ev.Device == "C2" && ev.Value == "closed" {
 					closeGen = ev.GeneratedAt
 				}
@@ -191,7 +189,7 @@ func case4() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("P2").State("switch"); got == "on" {
+			if got := cr.Device("P2").State("switch"); got == "on" {
 				return true, "heater still on; armed event discarded"
 			}
 			return false, "heater turned off"
@@ -243,7 +241,7 @@ func case5() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("H3").State("mode"); got == "disarmed" {
+			if got := cr.Device("H3").State("mode"); got == "disarmed" {
 				return true, "security disarmed despite motion"
 			}
 			return false, "security stayed armed"
@@ -293,7 +291,7 @@ func case6() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("P2").State("switch"); got == "on" {
+			if got := cr.Device("P2").State("switch"); got == "on" {
 				return true, "heater on despite open door"
 			}
 			return false, "heater stayed off"
@@ -344,7 +342,7 @@ func case7() Case {
 		return nil
 	}
 	c.Judge = func(cr *CaseRun) (bool, string) {
-		if got := cr.TB.Device("V1").State("valve"); got == "open" {
+		if got := cr.Device("V1").State("valve"); got == "open" {
 			return true, "window opened despite open door"
 		}
 		return false, "window stayed closed"
@@ -396,7 +394,7 @@ func case8() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("LK1").State("lock"); got == "unlocked" {
+			if got := cr.Device("LK1").State("lock"); got == "unlocked" {
 				return true, "interior door unlocked with nobody home"
 			}
 			return false, "door stayed locked"
@@ -448,7 +446,7 @@ func case9() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if len(cr.TB.Integration.Notifications()) == 0 {
+			if len(cr.Integration.Notifications()) == 0 {
 				return true, "no warning delivered"
 			}
 			return false, "warning delivered"
@@ -499,7 +497,7 @@ func case10() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("LK1").State("lock"); got == "unlocked" {
+			if got := cr.Device("LK1").State("lock"); got == "unlocked" {
 				return true, "door left unlocked all day"
 			}
 			return false, "door locked automatically"
@@ -549,7 +547,7 @@ func case11() Case {
 			return nil
 		},
 		Judge: func(cr *CaseRun) (bool, string) {
-			if got := cr.TB.Device("T1").State("heating"); got == "on" {
+			if got := cr.Device("T1").State("heating"); got == "on" {
 				return true, "heater left running"
 			}
 			return false, "heater turned off"

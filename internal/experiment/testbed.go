@@ -14,6 +14,7 @@ import (
 	"repro/internal/ipnet"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
 )
@@ -333,14 +334,14 @@ func (tb *Testbed) SessionOwner(label string) *device.Device {
 	return tb.Devices[label]
 }
 
-// ServerAddrOf returns the address of the server a device talks to.
-func (tb *Testbed) ServerAddrOf(label string) ipaddr.Addr {
-	owner := tb.SessionOwner(label)
-	p := owner.Profile()
-	if p.Transport == device.TransportHAP {
-		return tb.ServerAddrs["local"]
+// SessionOwnerProfile resolves the deployed (override-adjusted) profile of
+// the session owner for a label: the device itself, or its hub for via-hub
+// devices.
+func (tb *Testbed) SessionOwnerProfile(label string) device.Profile {
+	if d := tb.SessionOwner(label); d != nil {
+		return d.Profile()
 	}
-	return tb.ServerAddrs[p.ServerDomain]
+	return tb.byLabel[label]
 }
 
 // TotalAlarmCount sums every server-side alarm in the home.
@@ -350,4 +351,36 @@ func (tb *Testbed) TotalAlarmCount() int {
 		n += len(tb.LocalHub.Alarms())
 	}
 	return n
+}
+
+// AcceptedEventCount reports how many events from the given origin device
+// the automation servers have accepted so far — the ground truth for "did
+// the delayed message still land".
+func (tb *Testbed) AcceptedEventCount(origin string) int {
+	n := 0
+	if tb.LocalHub != nil {
+		for _, ev := range tb.LocalHub.Events() {
+			if ev.Device == origin {
+				n++
+			}
+		}
+	}
+	for _, ev := range tb.Integration.Events() {
+		if ev.Device == origin {
+			n++
+		}
+	}
+	return n
+}
+
+// InstallRule installs a TCA rule on the right automation server for its
+// trigger device: rules over local (HAP) devices run on the local hub,
+// everything else on the integration server.
+func (tb *Testbed) InstallRule(r rules.Rule) error {
+	if tb.LocalHub != nil {
+		if p, ok := tb.byLabel[r.Trigger.Device]; ok && p.ServerDomain == "local" {
+			return tb.LocalHub.AddRule(r)
+		}
+	}
+	return tb.Integration.AddRule(r)
 }

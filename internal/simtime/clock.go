@@ -184,6 +184,27 @@ func (c *Clock) RunFor(d time.Duration) {
 	c.RunUntil(c.now + d)
 }
 
+// StepUntil executes events one at a time until cond holds, checking it
+// before each event, and reports whether it did. It gives up once the
+// clock reaches deadline, or when the next event lies beyond it; in the
+// latter case it first advances the clock to deadline. It is the loop
+// every hold and profiling wait drives: unlike RunUntil it stops at the
+// event that satisfies cond. It is built from Step and RunUntil alone, so
+// it adds no run window of its own to the clock's metrics.
+func (c *Clock) StepUntil(deadline Time, cond func() bool) bool {
+	for !cond() {
+		if c.now >= deadline {
+			return false
+		}
+		if next, ok := c.NextEventAt(); !ok || next > deadline {
+			c.RunUntil(deadline)
+			return cond()
+		}
+		c.Step()
+	}
+	return true
+}
+
 // Pending reports the number of scheduled, uncancelled events. Stopped
 // timers are removed from the heap eagerly, so this is the heap size —
 // O(1), where it used to scan past tombstones.
