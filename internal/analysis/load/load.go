@@ -1,14 +1,14 @@
 // Package load turns `go list` package patterns into type-checked
-// analysis.Packages using only the standard library: go list enumerates
-// the packages, go/parser parses them, and go/types checks them with the
-// stdlib source importer resolving imports (stdlib and module-local alike)
-// from source.
+// analysis.Packages using only the standard library: `go list -deps
+// -export` enumerates the packages with their dependencies, go/parser
+// parses the module's packages, and go/types checks them in dependency
+// order. Standard-library imports are read from the compiler's export
+// data; module imports are served from the packages already checked.
 //
 // This is the offline stand-in for golang.org/x/tools/go/packages, which
-// the module cannot vendor. Imports are always resolved through one shared
-// source-importer instance, so transitive dependencies are type-checked at
-// most once per Packages call and every import of a given path yields the
-// identical *types.Package.
+// the module cannot vendor. Every package is type-checked at most once per
+// Packages call, so every import of a given path yields the identical
+// *types.Package.
 package load
 
 import (
@@ -22,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
@@ -36,6 +37,9 @@ type listedPackage struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
+	Export     string // compiled export data (standard library only)
+	Standard   bool
+	DepOnly    bool // a dependency the patterns did not match
 }
 
 // Packages loads, parses and type-checks the packages matched by patterns
@@ -52,16 +56,19 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	}
 
 	fset := token.NewFileSet()
-
-	// Parsing is embarrassingly parallel (token.FileSet serializes its own
-	// file registration); type-checking stays serial below because the
-	// shared source importer is not safe for concurrent use.
+	exports := make(map[string]string)
 	var withFiles []listedPackage
 	for _, lp := range listed {
-		if len(lp.GoFiles) > 0 {
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+		} else if len(lp.GoFiles) > 0 {
 			withFiles = append(withFiles, lp)
 		}
 	}
+
+	// Parsing is embarrassingly parallel (token.FileSet serializes its own
+	// file registration); type-checking stays serial below because each
+	// package needs its imports checked first.
 	parsed := make([][]*ast.File, len(withFiles))
 	errs := make([]error, len(withFiles))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -82,17 +89,37 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 		}
 	}
 
-	imp := importer.ForCompiler(fset, "source", nil)
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("load: no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
 	var pkgs []*analysis.Package
+	// go list -deps lists every package after its dependencies.
 	for i, lp := range withFiles {
 		pkg, err := check(fset, imp, lp, parsed[i])
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		checked[lp.ImportPath] = pkg.Pkg
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // parsePackage parses one listed package's non-test files.
 func parsePackage(fset *token.FileSet, lp listedPackage) ([]*ast.File, error) {
@@ -108,7 +135,7 @@ func parsePackage(fset *token.FileSet, lp listedPackage) ([]*ast.File, error) {
 }
 
 func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
