@@ -18,7 +18,9 @@ import (
 // bounded by the reorder window. v3 has v2's shape, but its homes are
 // drawn from simtime.Rand's PCG streams: a v2 partial describes a
 // different population, so resuming or merging it would mix the two.
-const checkpointVersion = 3
+// v4 has v3's shape, but offline campaigns skip on-demand targets: a v3
+// offline partial counts homes that failed on them.
+const checkpointVersion = 4
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,11 +155,11 @@ func TestCheckpointRejectsV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := []byte(`"version": 3,`)
-	if !bytes.Contains(data, v3) {
-		t.Fatalf("saved partial carries no %s field", v3)
+	cur := []byte(fmt.Sprintf(`"version": %d,`, checkpointVersion))
+	if !bytes.Contains(data, cur) {
+		t.Fatalf("saved partial carries no %s field", cur)
 	}
-	data = bytes.Replace(data, v3, []byte(`"version": 2,`), 1)
+	data = bytes.Replace(data, cur, []byte(`"version": 2,`), 1)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +178,12 @@ func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":4}`), 0o644); err != nil {
+	next := checkpointVersion + 1
+	if err := os.WriteFile(ck.path, []byte(fmt.Sprintf(`{"version":%d}`, next)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 4, want 3") {
+	want := fmt.Sprintf("version %d, want %d", next, checkpointVersion)
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {

@@ -100,3 +100,23 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatalf("stale checkpoint not rejected: %v", err)
 	}
 }
+
+// TestOfflineCampaignSkipsOnDemandTargets: an offline hold keeps a
+// standing session open, and on-demand sensors have none between bursts.
+// Targeting one used to fail its whole home.
+func TestOfflineCampaignSkipsOnDemandTargets(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"attack":"offline"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Campaign{Spec: spec, Homes: 200, Seed: 1}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HomesFailed != 0 {
+		t.Fatalf("%d homes failed: %v", res.HomesFailed, res.Errors)
+	}
+	if res.HomesAttacked == 0 {
+		t.Fatal("no home attacked")
+	}
+}
