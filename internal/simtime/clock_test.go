@@ -397,3 +397,41 @@ func TestTickerPeriodAccessor(t *testing.T) {
 	tk.Reset() // reset after stop is a no-op
 	c.RunFor(20 * time.Second)
 }
+
+// TestStepUntilStopsAtSatisfyingEvent: StepUntil runs exactly the events
+// up to the one that makes cond true, and leaves the rest pending.
+func TestStepUntilStopsAtSatisfyingEvent(t *testing.T) {
+	c := NewClock()
+	n := 0
+	for i := 1; i <= 5; i++ {
+		c.Schedule(time.Duration(i)*time.Second, func() { n++ })
+	}
+	if !c.StepUntil(time.Minute, func() bool { return n == 3 }) {
+		t.Fatal("cond never held")
+	}
+	if c.Now() != 3*time.Second || c.Pending() != 2 {
+		t.Fatalf("stopped at %v with %d pending, want 3s with 2", c.Now(), c.Pending())
+	}
+}
+
+// TestStepUntilDeadline: when cond never holds, StepUntil runs every
+// event up to the deadline, advances the clock to it and leaves later
+// events pending; an expired deadline runs nothing.
+func TestStepUntilDeadline(t *testing.T) {
+	c := NewClock()
+	n := 0
+	c.Schedule(time.Second, func() { n++ })
+	c.Schedule(time.Minute, func() { n++ })
+	if c.StepUntil(10*time.Second, func() bool { return false }) {
+		t.Fatal("reported a cond that never held")
+	}
+	if n != 1 || c.Now() != 10*time.Second || c.Pending() != 1 {
+		t.Fatalf("n=%d now=%v pending=%d, want 1, 10s, 1", n, c.Now(), c.Pending())
+	}
+	if c.StepUntil(5*time.Second, func() bool { return false }) || c.Now() != 10*time.Second || n != 1 {
+		t.Fatalf("expired deadline moved the clock to %v or ran events (n=%d)", c.Now(), n)
+	}
+	if !c.StepUntil(0, func() bool { return true }) {
+		t.Fatal("a cond that already holds is not reported")
+	}
+}
