@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,6 +22,14 @@ func TestCounterBasics(t *testing.T) {
 	}
 	if other := r.Counter("frames_total", L("segment", "wan")); other == c {
 		t.Fatal("different labels should be a different handle")
+	}
+	g := r.Gauge("depth", L("segment", "lan"))
+	if again := r.Gauge("depth", L("segment", "lan")); again != g {
+		t.Fatal("same gauge name+labels should return the same handle")
+	}
+	h := r.Histogram("lat", []float64{1}, L("segment", "lan"))
+	if again := r.Histogram("lat", []float64{1, 2}, L("segment", "lan")); again != h {
+		t.Fatal("same histogram name+labels should return the same handle")
 	}
 }
 
@@ -74,14 +83,31 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 }
 
 func TestTypeMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on re-registering x as a gauge")
+	kinds := []struct {
+		name     string
+		register func(*Registry)
+	}{
+		{"counter", func(r *Registry) { r.Counter("x", L("k", "v")) }},
+		{"gauge", func(r *Registry) { r.Gauge("x", L("k", "v")) }},
+		{"histogram", func(r *Registry) { r.Histogram("x", []float64{1}, L("k", "v")) }},
+	}
+	for _, first := range kinds {
+		for _, second := range kinds {
+			if first.name == second.name {
+				continue
+			}
+			t.Run(first.name+"_then_"+second.name, func(t *testing.T) {
+				r := NewRegistry()
+				first.register(r)
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("expected panic on re-registering a %s as a %s", first.name, second.name)
+					}
+				}()
+				second.register(r)
+			})
 		}
-	}()
-	r.Gauge("x")
+	}
 }
 
 func TestNilHandlesAndRegistryAreSafe(t *testing.T) {
@@ -122,6 +148,46 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 	if a.Counters[0].Name != "alpha" || a.Counters[0].Labels[0].Value != "1" {
 		t.Fatalf("counters not sorted: %+v", a.Counters)
+	}
+}
+
+func TestSnapshotOrderIndependentOfRegistrationOrder(t *testing.T) {
+	regs := []func(*Registry){
+		func(r *Registry) { r.Counter("b").Add(1) },
+		func(r *Registry) { r.Counter("a", L("x", "2")).Add(2) },
+		func(r *Registry) { r.Counter("a", L("x", "1")).Add(3) },
+		func(r *Registry) { r.Counter("a", L("x", "1"), L("y", "0")).Add(4) },
+		func(r *Registry) { r.Counter("a").Add(5) },
+		func(r *Registry) { r.Gauge("g", L("x", "1")).Set(6) },
+		func(r *Registry) { r.Gauge("g").Set(7) },
+		func(r *Registry) { r.Gauge("f", L("x", "9")).Set(8) },
+		func(r *Registry) { r.Histogram("h", []float64{1}, L("x", "1")).Observe(0.5) },
+		func(r *Registry) { r.Histogram("h", []float64{1}).Observe(2) },
+		func(r *Registry) { r.Histogram("c", []float64{1}).Observe(1) },
+	}
+	build := func(order []int) Snapshot {
+		r := NewRegistry()
+		for _, i := range order {
+			regs[i](r)
+		}
+		s := r.Snapshot()
+		s.Trace = nil
+		return s
+	}
+	order := make([]int, len(regs))
+	for i := range order {
+		order[i] = i
+	}
+	want := build(order)
+	if !countersSorted(want.Counters) || !gaugesSorted(want.Gauges) || !histogramsSorted(want.Histograms) {
+		t.Fatalf("snapshot not in canonical order: %+v", want)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got := build(order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("registration order %v:\n got %+v\nwant %+v", order, got, want)
+		}
 	}
 }
 
