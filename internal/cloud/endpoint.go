@@ -58,13 +58,12 @@ type EndpointServer struct {
 	owner    map[string]string // device label -> session-owner label
 	trace    *obs.Trace
 
-	// Server-side replay suppression (profiles with CloudDedup): a ring of
-	// the most recently accepted event keys. Replays of accepted events —
-	// raw re-injections and fresh-session application replays alike — carry
-	// the original generation timestamp and are discarded here.
-	dedupSeen  map[eventKey]bool
-	dedupRing  [dedupRingSize]eventKey
-	dedupN     int
+	// Server-side replay suppression (profiles with CloudDedup). Replays
+	// of accepted events — raw re-injections and fresh-session application
+	// replays alike — carry the original generation timestamp and are
+	// discarded here. The cache is allocated by the first CloudDedup event,
+	// so endpoints without such devices never pay for it.
+	dedup      *dedupCache
 	dedupDrops *obs.Counter
 
 	// OnEvent receives every device event this endpoint accepts (wired to
@@ -79,14 +78,13 @@ func NewEndpointServer(clk *simtime.Clock, ip *ipnet.Stack, rng *simtime.Rand, c
 		cfg.CloudToCloudLatency = 20 * time.Millisecond
 	}
 	s := &EndpointServer{
-		clk:       clk,
-		cfg:       cfg,
-		ip:        ip,
-		tcp:       tcpsim.NewStack(clk, ip, tcpsim.Config{}, int64(len(cfg.Domain))+100),
-		rng:       rng,
-		profiles:  make(map[string]device.Profile),
-		owner:     make(map[string]string),
-		dedupSeen: make(map[eventKey]bool),
+		clk:      clk,
+		cfg:      cfg,
+		ip:       ip,
+		tcp:      tcpsim.NewStack(clk, ip, tcpsim.Config{}, int64(len(cfg.Domain))+100),
+		rng:      rng,
+		profiles: make(map[string]device.Profile),
+		owner:    make(map[string]string),
 	}
 	s.broker = mqttsim.NewBroker(clk, cfg.Broker)
 	s.broker.OnPublish = s.onMQTTPublish
@@ -259,6 +257,13 @@ func (s *EndpointServer) accept(ev rules.Event) {
 // real event ingestion pipelines run.
 const dedupRingSize = 128
 
+// dedupCache is a ring of the most recently accepted event keys.
+type dedupCache struct {
+	seen map[eventKey]bool
+	ring [dedupRingSize]eventKey
+	n    int
+}
+
 // eventKey identifies an accepted event for replay suppression.
 type eventKey struct {
 	device, attr, value string
@@ -267,17 +272,21 @@ type eventKey struct {
 
 // duplicate reports whether ev was already accepted, recording it if not.
 func (s *EndpointServer) duplicate(ev rules.Event) bool {
+	if s.dedup == nil {
+		s.dedup = &dedupCache{seen: make(map[eventKey]bool)}
+	}
+	d := s.dedup
 	k := eventKey{ev.Device, ev.Attribute, ev.Value, ev.GeneratedAt}
-	if s.dedupSeen[k] {
+	if d.seen[k] {
 		return true
 	}
-	pos := s.dedupN % dedupRingSize
-	if s.dedupN >= dedupRingSize {
-		delete(s.dedupSeen, s.dedupRing[pos])
+	pos := d.n % dedupRingSize
+	if d.n >= dedupRingSize {
+		delete(d.seen, d.ring[pos])
 	}
-	s.dedupRing[pos] = k
-	s.dedupSeen[k] = true
-	s.dedupN++
+	d.ring[pos] = k
+	d.seen[k] = true
+	d.n++
 	return false
 }
 

@@ -2,6 +2,7 @@ package device
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/simtime"
@@ -136,13 +137,15 @@ func (t PopulationTemplate) SampleDevices(rng *simtime.Rand) []string {
 	return out
 }
 
-func hapLabels() []string {
+// hapLabels lists the HomeKit accessory labels in catalog order. The
+// slice is built once and shared, so it must not be modified.
+var hapLabels = sync.OnceValue(func() []string {
 	var out []string
 	for _, p := range LocalProfiles() {
 		out = append(out, p.Label)
 	}
 	return out
-}
+})
 
 // sampleK picks k of the given labels without replacement, preserving
 // order, via sequential (selection) sampling: each element is included with

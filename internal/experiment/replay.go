@@ -84,7 +84,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 	owner := s.SessionOwnerProfile(label)
 	res.Mode = owner.ReplayMode
 	res.Window = owner.ReplayWindow
-	res.CloudDedup = s.byLabel[label].CloudDedup
+	res.CloudDedup = s.Profile(label).CloudDedup
 
 	s.Attacker.Capture.Record(opts.RetainBytes)
 	h, err := s.Hijack(label)

@@ -206,7 +206,7 @@ func (tb *Testbed) markPhase(event, name string, value int64) {
 // parametersMatch validates the profiler output against ground truth with
 // a small tolerance.
 func parametersMatch(m core.Measured, truth device.Profile, tb *Testbed) bool {
-	owner, err := device.SessionProfile(truth, tb.byLabel)
+	owner, err := tb.sessionProfile(truth)
 	if err != nil {
 		return false
 	}

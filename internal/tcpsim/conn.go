@@ -582,7 +582,7 @@ func (c *Conn) teardown(err error) {
 	c.stack.removeConn(c)
 	c.stack.met.connClosed(err)
 	if c.stack.met.trace != nil {
-		c.trace("conn_closed", c.stack.met.host+":"+closeCause(err), int64(c.remote.Port))
+		c.trace("conn_closed", c.stack.met.host+":"+closeCauseNames[closeCause(err)], int64(c.remote.Port))
 	}
 	if !c.notified && c.OnClose != nil {
 		c.notified = true

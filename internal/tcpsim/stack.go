@@ -122,7 +122,7 @@ type stackMetrics struct {
 	kaProbes      *obs.Counter
 	oooDepth      *obs.Gauge
 	connsOpened   *obs.Counter
-	closedByCause map[string]*obs.Counter
+	closedByCause [numCloseCauses]*obs.Counter
 	// trace is nil unless the registry's trace ring is enabled, so the
 	// per-event emission sites pay one branch when tracing is off.
 	trace *obs.Trace
@@ -153,36 +153,45 @@ func (s *Stack) Instrument(reg *obs.Registry, host string) {
 		kaProbes:      reg.Counter("tcpsim_keepalive_probes_total", l),
 		oooDepth:      reg.Gauge("tcpsim_ooo_queue_depth", l),
 		connsOpened:   reg.Counter("tcpsim_conns_opened_total", l),
-		closedByCause: make(map[string]*obs.Counter),
 		host:          host,
 	}
 	if tr := reg.Trace(); tr.Enabled() {
 		s.met.trace = tr
 	}
-	for _, cause := range []string{"graceful", "timeout", "keepalive_timeout", "reset", "aborted"} {
-		s.met.closedByCause[cause] = reg.Counter("tcpsim_conns_closed_total", l, obs.L("cause", cause))
+	for cause, name := range closeCauseNames {
+		s.met.closedByCause[cause] = reg.Counter("tcpsim_conns_closed_total", l, obs.L("cause", name))
 	}
 }
 
-func closeCause(err error) string {
+// Connection close causes, indexing closeCauseNames and
+// stackMetrics.closedByCause.
+const (
+	causeGraceful = iota
+	causeTimeout
+	causeKeepAliveTimeout
+	causeReset
+	causeAborted
+	numCloseCauses
+)
+
+var closeCauseNames = [numCloseCauses]string{"graceful", "timeout", "keepalive_timeout", "reset", "aborted"}
+
+func closeCause(err error) int {
 	switch {
 	case errors.Is(err, ErrTimeout):
-		return "timeout"
+		return causeTimeout
 	case errors.Is(err, ErrKeepAliveTimeout):
-		return "keepalive_timeout"
+		return causeKeepAliveTimeout
 	case errors.Is(err, ErrReset):
-		return "reset"
+		return causeReset
 	case err != nil:
-		return "aborted"
+		return causeAborted
 	default:
-		return "graceful"
+		return causeGraceful
 	}
 }
 
-func (m stackMetrics) connClosed(err error) {
-	if m.closedByCause == nil {
-		return
-	}
+func (m *stackMetrics) connClosed(err error) {
 	m.closedByCause[closeCause(err)].Inc()
 }
 
