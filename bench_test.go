@@ -178,13 +178,31 @@ func BenchmarkDefenseTimestamp(b *testing.B) {
 	b.ReportMetric(metric(res.ConditionDelayStillWorks), "condition-bypass")
 }
 
+// tenDeviceHome is the home BenchmarkSimulatedHomeHour and
+// BenchmarkNewTestbed build.
+var tenDeviceHome = []string{"C1", "M1", "L2", "C2", "M3", "P2", "CM1", "K2", "T1", "SD1"}
+
+// BenchmarkNewTestbed measures the fresh build every fleet home pays:
+// NewTestbed plus Start (sessions up and settled) of the ten-device home,
+// per iteration. Its allocs/op gates the build path.
+func BenchmarkNewTestbed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: int64(i), Devices: tenDeviceHome})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tb.Start()
+	}
+}
+
 // BenchmarkSimulatedHomeHour measures raw simulator throughput: one hour
 // of a ten-device home with keep-alives, per iteration.
 func BenchmarkSimulatedHomeHour(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb, err := experiment.NewTestbed(experiment.TestbedConfig{
 			Seed:    int64(i),
-			Devices: []string{"C1", "M1", "L2", "C2", "M3", "P2", "CM1", "K2", "T1", "SD1"},
+			Devices: tenDeviceHome,
 		})
 		if err != nil {
 			b.Fatal(err)
