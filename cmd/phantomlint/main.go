@@ -1,7 +1,7 @@
 // Command phantomlint runs the repository's custom determinism and
 // zero-tax-tracing analyzers (internal/analysis/...) over Go packages.
 //
-// Standalone (the mode verify.sh, make lint and CI use):
+// Usage (verify.sh, make lint and CI run the first line):
 //
 //	go run ./cmd/phantomlint ./...            # analyze everything
 //	go run ./cmd/phantomlint -run maporder ./internal/sniff/
@@ -15,12 +15,6 @@
 //
 // Exit status is 0 when no findings survive //lint:allow suppression,
 // 1 when findings are reported, 2 on usage or load errors.
-//
-// The binary also speaks the `go vet -vettool` unit-checker protocol
-// (see vettool.go):
-//
-//	go build -o /tmp/phantomlint ./cmd/phantomlint
-//	go vet -vettool=/tmp/phantomlint ./...
 package main
 
 import (
@@ -55,13 +49,6 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	// The vet driver invokes the tool as `phantomlint -V=full` and then
-	// `phantomlint <file>.cfg`; detect that protocol before flag parsing
-	// so the standalone flags don't collide with vet's.
-	if vettoolMain(suite) {
-		return
-	}
-
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	parallelFlag := flag.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently per dependency wave")

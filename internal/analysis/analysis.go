@@ -4,8 +4,7 @@
 // phantomlint v2 the framework is interprocedural: analyzers can declare
 // prerequisite analyzers (Requires) and exchange serializable Facts about
 // package-level objects and packages, propagated in dependency order by
-// the graph runner (graph.go) and across `go vet -vettool` compilation
-// units by the fact store's Encode/Decode (facts.go).
+// the graph runner (graph.go) through the fact store (facts.go).
 //
 // The shapes (Analyzer, Pass, Diagnostic, Fact) deliberately mirror
 // x/tools so the phantomlint analyzers can be ported to the upstream
@@ -53,7 +52,7 @@ type Analyzer struct {
 	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer may export, as
 	// nil pointers of the concrete type (e.g. (*FuncTaint)(nil)). Only
-	// declared types can be serialized across vettool compilation units.
+	// declared types can be serialized by the fact store.
 	FactTypes []Fact
 }
 
@@ -169,8 +168,8 @@ type Package struct {
 // Run applies each analyzer to each package in dependency order and
 // returns the surviving findings ordered by file, line, column, then
 // analyzer name. Findings suppressed by a //lint:allow comment (see
-// suppress.go) are dropped here, so every driver — phantomlint, the
-// vettool mode, analysistest — shares one suppression semantics. It is
+// suppress.go) are dropped here, so every driver — phantomlint and
+// analysistest — shares one suppression semantics. It is
 // the serial convenience form of RunGraph.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	findings, _, err := RunGraph(pkgs, analyzers, GraphOptions{})

@@ -23,20 +23,22 @@
 // an earlier fixture by its testdata import path, or any real package the
 // module can resolve — and analyzed with analysis.RunGraph, so facts flow
 // from fixture dependencies into fixture dependents exactly as they do in
-// the production drivers.
+// the production drivers. Real packages are read from compiled export
+// data, as the standalone driver reads the standard library.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,17 +52,32 @@ import (
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	imp := &fixtureImporter{
-		checked:  make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	var pkgs []*analysis.Package
+	fixtures := make([][]*ast.File, len(pkgPaths))
 	var wants []*expectation
-	for _, path := range pkgPaths {
-		pkg, ws := loadFixture(t, fset, imp, testdata, path)
+	var external []string
+	for i, path := range pkgPaths {
+		files, ws := parseFixture(t, fset, testdata, path)
+		fixtures[i] = files
+		wants = append(wants, ws...)
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				if p, err := strconv.Unquote(spec.Path.Value); err == nil && !slices.Contains(pkgPaths, p) {
+					external = append(external, p)
+				}
+			}
+		}
+	}
+	sort.Strings(external)
+	fallback, err := load.Importer(fset, ".", slices.Compact(external)...)
+	if err != nil {
+		t.Fatalf("loading fixture imports: %v", err)
+	}
+	imp := &fixtureImporter{checked: make(map[string]*types.Package), fallback: fallback}
+	var pkgs []*analysis.Package
+	for i, path := range pkgPaths {
+		pkg := checkFixture(t, fset, imp, path, fixtures[i])
 		imp.checked[path] = pkg.Pkg
 		pkgs = append(pkgs, pkg)
-		wants = append(wants, ws...)
 	}
 
 	findings, _, err := analysis.RunGraph(pkgs, []*analysis.Analyzer{a}, analysis.GraphOptions{})
@@ -90,7 +107,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 }
 
 // fixtureImporter resolves already-type-checked fixture packages first,
-// then falls back to the module's source importer for real packages.
+// then falls back to export data for real packages.
 // That lets a fixture package import another fixture by its testdata
 // path even though no such directory exists in the module proper.
 type fixtureImporter struct {
@@ -114,9 +131,9 @@ type expectation struct {
 	matched bool
 }
 
-// loadFixture parses and type-checks one fixture package, returning it
-// with the want-expectations harvested from its comments.
-func loadFixture(t *testing.T, fset *token.FileSet, imp types.Importer, testdata, pkgPath string) (*analysis.Package, []*expectation) {
+// parseFixture parses one fixture package, returning its files with the
+// want-expectations harvested from their comments.
+func parseFixture(t *testing.T, fset *token.FileSet, testdata, pkgPath string) ([]*ast.File, []*expectation) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
 	entries, err := os.ReadDir(dir)
@@ -144,14 +161,19 @@ func loadFixture(t *testing.T, fset *token.FileSet, imp types.Importer, testdata
 	if len(files) == 0 {
 		t.Fatalf("%s: fixture dir %s has no Go files", pkgPath, dir)
 	}
+	return files, wants
+}
 
+// checkFixture type-checks one parsed fixture package.
+func checkFixture(t *testing.T, fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) *analysis.Package {
+	t.Helper()
 	info := load.NewInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("%s: type-checking fixture: %v", pkgPath, err)
 	}
-	return &analysis.Package{ImportPath: pkgPath, Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info}, wants
+	return &analysis.Package{ImportPath: pkgPath, Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info}
 }
 
 // claim marks the first unmatched expectation on the finding's line whose

@@ -6,13 +6,11 @@
 // package (— "this package transitively links net"). Within one
 // phantomlint process all packages share one in-memory Store and facts
 // flow through it as the graph runner works down the dependency order.
-// Under `go vet -vettool` each package is a separate process, so the
-// store round-trips through the driver's .vetx files: Encode writes every
-// fact visible at the end of a unit (own plus inherited, so indirect
-// dependencies' facts keep flowing), Decode merges dependency files back
-// in. Facts are keyed by (import path, object key, concrete fact type) —
-// never by go/types object identity, which does not survive either the
-// source importer re-checking a package or a process boundary.
+// Encode writes every fact the store holds (own plus inherited) and
+// Decode merges an encoded store back in, so facts can also cross a
+// process boundary. Facts are keyed by (import path, object key, concrete
+// fact type) — never by go/types object identity, which does not survive
+// a package being re-checked or a process boundary.
 package analysis
 
 import (
@@ -147,8 +145,8 @@ type encodedFact struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// encodedStore versions the fact file format; bump with the vettool -V
-// string when fact semantics change so cached .vetx files invalidate.
+// encodedStore versions the fact file format; bump it when fact semantics
+// change so files encoded under the old semantics are rejected.
 type encodedStore struct {
 	Version int           `json:"version"`
 	Facts   []encodedFact `json:"facts"`

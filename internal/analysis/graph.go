@@ -23,14 +23,13 @@ type GraphOptions struct {
 	// Parallel caps concurrently analyzed packages per wave; <= 1 runs
 	// serially.
 	Parallel int
-	// Store receives exported facts; nil allocates a fresh one. The
-	// vettool seeds it with decoded dependency facts.
+	// Store receives exported facts; nil allocates a fresh one.
 	Store *Store
 	// IncludeSuppressed retains //lint:allow-suppressed findings in the
 	// result, marked Finding.Suppressed, instead of dropping them.
 	IncludeSuppressed bool
 	// FactsOnly runs only fact-producing analyzers (and their requires)
-	// and reports nothing — the vettool's dependency-unit mode.
+	// and reports nothing.
 	FactsOnly bool
 }
 
@@ -110,7 +109,7 @@ func Waves(pkgs []*Package) [][]*Package {
 // packages in dependency-wave order, threading facts through the store,
 // and returns the findings sorted by position then analyzer — the same
 // bytes for any Parallel setting. The returned store holds every
-// exported fact; the vettool serializes it onward.
+// exported fact.
 func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Finding, *Store, error) {
 	expanded := Expand(analyzers)
 	if opts.FactsOnly {

@@ -89,12 +89,7 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 		}
 	}
 
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if exports[path] == "" {
-			return nil, fmt.Errorf("load: no export data for %q", path)
-		}
-		return os.Open(exports[path])
-	})
+	std := exportImporter(fset, exports)
 	checked := make(map[string]*types.Package)
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := checked[path]; ok {
@@ -115,6 +110,35 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// Importer returns an importer that reads compiled export data for the
+// packages at the given import paths and everything they depend on, as
+// `go list -deps -export` reports them when run in dir. The analyzer test
+// harness resolves fixtures' standard-library and module imports this way.
+func Importer(fset *token.FileSet, dir string, paths ...string) (types.Importer, error) {
+	exports := make(map[string]string)
+	if len(paths) > 0 {
+		listed, err := goList(dir, paths)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range listed {
+			exports[lp.ImportPath] = lp.Export
+		}
+	}
+	return exportImporter(fset, exports), nil
+}
+
+// exportImporter reads each package from the export data file exports
+// names for its import path.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("load: no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
 }
 
 type importerFunc func(path string) (*types.Package, error)

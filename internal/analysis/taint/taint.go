@@ -2,9 +2,8 @@
 // every function in an analyzed package, which scheduler- or
 // wall-clock-dependent sources its call tree can reach. The summaries
 // are exported as object facts (analysis.Fact) keyed by package path and
-// function, so they propagate across package boundaries inside one
-// phantomlint process and across `go vet -vettool` compilation units via
-// the serialized fact store — this is what lets a sim package calling an
+// function, so they propagate across package boundaries through the fact
+// store — this is what lets a sim package calling an
 // innocent-looking helper three packages away be flagged at the call
 // site (detflow) instead of slipping through, the exact shape of the
 // PR 7 ecdh GenerateKey laundering.
@@ -160,9 +159,8 @@ type summary map[Kind]string
 func run(pass *analysis.Pass) (interface{}, error) {
 	// Summaries are computed for the whole repro module — exempt packages
 	// included, since that is exactly where laundering helpers hide — but
-	// never for stdlib (the standalone driver does not load it, and the
-	// vettool must not diverge from the standalone verdicts). Stdlib
-	// nondeterminism is covered by the root tables instead.
+	// never for stdlib (the driver does not type-check it from source).
+	// Stdlib nondeterminism is covered by the root tables instead.
 	if !strings.HasPrefix(pass.Pkg.Path(), "repro/") {
 		return nil, nil
 	}
