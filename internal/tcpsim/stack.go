@@ -91,26 +91,22 @@ type Stack struct {
 	chunkFree [][]byte
 }
 
-// getChunk returns a pooled buffer of length n (n never exceeds the MSS:
-// Conn.Send segments at the MSS and is the only caller).
+// getChunk returns a buffer of length n for one segment's payload: the
+// pool's top chunk when its capacity fits, else a fresh one of exactly n
+// bytes. Chunks are sized to the write — most sends are small records —
+// and the MSS bounds only how Conn.Send segments, not what it allocates.
 func (s *Stack) getChunk(n int) []byte {
-	if k := len(s.chunkFree); k > 0 {
+	if k := len(s.chunkFree); k > 0 && cap(s.chunkFree[k-1]) >= n {
 		b := s.chunkFree[k-1]
 		s.chunkFree = s.chunkFree[:k-1]
 		return b[:n]
 	}
-	c := n
-	if c < s.cfg.MSS {
-		c = s.cfg.MSS
-	}
-	return make([]byte, n, c)
+	return make([]byte, n)
 }
 
 // putChunk recycles a chunk once its retransmission-queue entry retires.
 func (s *Stack) putChunk(b []byte) {
-	if cap(b) >= s.cfg.MSS {
-		s.chunkFree = append(s.chunkFree, b[:0])
-	}
+	s.chunkFree = append(s.chunkFree, b[:0])
 }
 
 // stackMetrics are a stack's obs handles; the zero value (all nil) is the

@@ -169,11 +169,11 @@ func (c *Conn) processExplicitSeq(body []byte) {
 	if c.mode == ModeNullCipher {
 		plain = body[explicitSeqLen:]
 	} else {
-		nonce := c.seqNonce(seq)
+		nonce := c.nonce(!c.isClient, seq)
 		ct := body[explicitSeqLen:]
 		aad := c.additionalData(RecordApplication, seq, len(ct))
 		var err error
-		plain, err = c.recvAEAD.Open(nil, nonce, ct, aad)
+		plain, err = c.aead.Open(ct[:0], nonce, ct, aad)
 		if err != nil {
 			c.emit("record_bad", c.label, int64(seq))
 			c.fail("bad_record_mac")

@@ -1,6 +1,8 @@
 // Package tlssim implements a TLS-like secure channel over a tcpsim
 // connection: a hello exchange of random key shares followed by AES-GCM
-// records bound to implicit per-direction sequence numbers.
+// records bound to implicit per-direction sequence numbers. One
+// HMAC-SHA256 session key serves both directions; the record's direction
+// is bound into the nonce.
 //
 // The three properties the paper's analysis rests on all hold here:
 //
@@ -21,13 +23,16 @@
 // differ per session and be bound to both hellos, so that a share altered
 // in flight fails authentication at the first record. The one property
 // given up, secrecy against a passive observer who knows the derivation,
-// is one nothing in the simulator relies on.
+// is one nothing in the simulator relies on. One key serves both
+// directions because AES-GCM needs only a distinct nonce per record, which
+// the direction byte and the sequence give; the direction byte also makes
+// a record reflected back at its sender fail authentication like any
+// other forgery.
 package tlssim
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -107,8 +112,7 @@ type Conn struct {
 	closeErr     error
 	sendSeq      uint64
 	recvSeq      uint64
-	sendAEAD     cipher.AEAD
-	recvAEAD     cipher.AEAD
+	aead         cipher.AEAD
 	rbuf         []byte
 	alertsRaised int
 	// nonceBuf/aadBuf are the per-record crypto scratch: the AEAD consumes
@@ -130,7 +134,10 @@ type Conn struct {
 
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func()
-	// OnMessage delivers one decrypted application message per record.
+	// OnMessage delivers one decrypted application message per record. The
+	// slice is the connection's receive buffer, opened in place: it is
+	// valid only during the callback, so a consumer that keeps the bytes
+	// copies them.
 	OnMessage func([]byte)
 	// OnClose fires exactly once when the session ends; nil means a clean
 	// close, ErrBadRecord or AlertReceivedError mean detected tampering.
@@ -285,9 +292,12 @@ func (c *Conn) processHandshake(body []byte) {
 	}
 }
 
-// deriveKeys keys both directions from the two hellos: the session secret
-// is SHA-256(clientShare ‖ serverShare), expanded per direction with the
-// two session randoms.
+// deriveKeys keys the session from the two hellos. The secret is
+// SHA-256(clientShare ‖ serverShare); the one AES-128 key is
+// HMAC-SHA256(secret, "client write" ‖ clientRandom ‖ serverRandom) cut to
+// 16 bytes, the HMAC (RFC 2104, secret zero-padded to the 64-byte block)
+// computed over stack arrays. Both directions seal with it: nonce byte 0
+// names the direction (see nonce), so the two streams never share a nonce.
 func (c *Conn) deriveKeys() error {
 	client, server := &c.hello, &c.peerHello
 	if !c.isClient {
@@ -296,37 +306,27 @@ func (c *Conn) deriveKeys() error {
 	var shares [2 * shareLen]byte
 	copy(shares[:shareLen], client[:shareLen])
 	copy(shares[shareLen:], server[:shareLen])
-	shared := sha256.Sum256(shares[:])
-	cr, sr := client[shareLen:], server[shareLen:]
-	clientKey := deriveKey(shared[:], "client write", cr, sr)
-	serverKey := deriveKey(shared[:], "server write", cr, sr)
-	mk := func(key []byte) (cipher.AEAD, error) {
-		block, err := aes.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		return cipher.NewGCM(block)
+	secret := sha256.Sum256(shares[:])
+	const label = "client write"
+	var innerBuf [sha256.BlockSize + len(label) + 2*(helloLen-shareLen)]byte
+	var outerBuf [sha256.BlockSize + sha256.Size]byte
+	copy(innerBuf[:], secret[:])
+	copy(outerBuf[:], secret[:])
+	for i := range sha256.BlockSize {
+		innerBuf[i] ^= 0x36 // ipad
+		outerBuf[i] ^= 0x5c // opad
 	}
-	var sendKey, recvKey []byte
-	if c.isClient {
-		sendKey, recvKey = clientKey, serverKey
-	} else {
-		sendKey, recvKey = serverKey, clientKey
-	}
-	var err error
-	if c.sendAEAD, err = mk(sendKey); err != nil {
+	inner := append(innerBuf[:sha256.BlockSize], label...)
+	inner = append(inner, client[shareLen:]...)
+	inner = append(inner, server[shareLen:]...)
+	innerSum := sha256.Sum256(inner)
+	key := sha256.Sum256(append(outerBuf[:sha256.BlockSize], innerSum[:]...))
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
 		return err
 	}
-	c.recvAEAD, err = mk(recvKey)
+	c.aead, err = cipher.NewGCM(block)
 	return err
-}
-
-func deriveKey(shared []byte, label string, cr, sr []byte) []byte {
-	h := hmac.New(sha256.New, shared)
-	h.Write([]byte(label))
-	h.Write(cr)
-	h.Write(sr)
-	return h.Sum(nil)[:16]
 }
 
 func (c *Conn) processApplication(body []byte) {
@@ -338,9 +338,9 @@ func (c *Conn) processApplication(body []byte) {
 		c.processExplicitSeq(body)
 		return
 	}
-	nonce := c.seqNonce(c.recvSeq)
+	nonce := c.nonce(!c.isClient, c.recvSeq)
 	aad := c.additionalData(RecordApplication, c.recvSeq, len(body))
-	plain, err := c.recvAEAD.Open(nil, nonce, body, aad)
+	plain, err := c.aead.Open(body[:0], nonce, body, aad)
 	if err != nil {
 		// Seq-check / authentication failure: a delayed record delivered
 		// out of its original order lands here and raises an alert.
@@ -405,7 +405,7 @@ func (c *Conn) appendSealed(dst []byte, typ RecordType, plain []byte) []byte {
 		dst = append(dst, plain...)
 	} else {
 		aad := c.additionalData(typ, seq, len(plain)+16)
-		dst = c.sendAEAD.Seal(dst, c.seqNonce(seq), plain, aad)
+		dst = c.aead.Seal(dst, c.nonce(c.isClient, seq), plain, aad)
 	}
 	fillHeader(dst[start:], typ, len(dst)-start-HeaderLen)
 	return dst
@@ -425,7 +425,14 @@ func fillHeader(rec []byte, typ RecordType, n int) {
 	binary.BigEndian.PutUint16(rec[3:5], uint16(n))
 }
 
-func (c *Conn) seqNonce(seq uint64) []byte {
+// nonce returns the AEAD nonce of the record with sequence seq sent by the
+// client (fromClient) or the server: byte 0 is the direction — 0 for
+// client→server, 1 for server→client — and bytes 4..11 the sequence.
+func (c *Conn) nonce(fromClient bool, seq uint64) []byte {
+	c.nonceBuf[0] = 1
+	if fromClient {
+		c.nonceBuf[0] = 0
+	}
 	binary.BigEndian.PutUint64(c.nonceBuf[4:], seq)
 	return c.nonceBuf[:]
 }

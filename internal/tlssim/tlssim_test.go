@@ -263,12 +263,43 @@ func TestCiphertextVariesWithSequence(t *testing.T) {
 	}
 }
 
+// TestDirectionsUseDistinctKeys: both directions seal with the one session
+// key, so what keeps their records apart is the nonce — its first byte names
+// the direction, and the same plaintext at the same sequence seals to
+// different ciphertext client→server and server→client.
 func TestDirectionsUseDistinctKeys(t *testing.T) {
 	e := newEnv(t)
 	c2s := e.cli.seal(RecordApplication, []byte("same message"))
 	s2c := e.srv.seal(RecordApplication, []byte("same message"))
 	if string(c2s[HeaderLen:]) == string(s2c[HeaderLen:]) {
 		t.Fatal("both directions produced identical ciphertext at sequence 0")
+	}
+}
+
+// TestReflectedRecordRejected: a record the client sealed, fed back into
+// the client's own receive path at the sequence it expects next, fails
+// authentication and raises an alert. With one key for both directions,
+// only the direction byte in the nonce tells the two streams apart.
+func TestReflectedRecordRejected(t *testing.T) {
+	for _, mode := range []ReplayMode{ModeSeqBound, ModeLegacyNonce} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newModeEnv(t, mode, 0)
+			var got []string
+			var cliErr error
+			e.cli.OnMessage = func(m []byte) { got = append(got, string(m)) }
+			e.cli.OnClose = func(err error) { cliErr = err }
+			rec := e.cli.seal(RecordApplication, []byte("unlock"))
+			if err := e.srv.TCP().Send(rec); err != nil {
+				t.Fatal(err)
+			}
+			e.clk.RunFor(time.Second)
+			if len(got) != 0 {
+				t.Fatalf("client accepted its own reflected record: %q", got)
+			}
+			if !errors.Is(cliErr, ErrBadRecord) || e.cli.AlertsRaised() != 1 {
+				t.Fatalf("client err = %v with %d alerts, want ErrBadRecord and 1 alert", cliErr, e.cli.AlertsRaised())
+			}
+		})
 	}
 }
 
@@ -303,9 +334,10 @@ func TestTCPResetPropagates(t *testing.T) {
 }
 
 // TestSessionKeyKnownAnswer pins the key derivation: the session secret is
-// SHA-256(clientShare ‖ serverShare), each direction's AES-128 key is
-// HMAC-SHA256(secret, label ‖ clientRandom ‖ serverRandom) cut to 16 bytes,
-// and fixed seeds give a fixed first sealed record.
+// SHA-256(clientShare ‖ serverShare), the session's AES-128 key is
+// HMAC-SHA256(secret, "client write" ‖ clientRandom ‖ serverRandom) cut to
+// 16 bytes, client records carry direction byte 0 in the nonce, and fixed
+// seeds give a fixed first sealed record.
 func TestSessionKeyKnownAnswer(t *testing.T) {
 	e := newEnv(t)
 	msg := []byte("event: door open")
