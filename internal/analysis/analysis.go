@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
 // type-checked package through a Pass and reports Diagnostics. Since
 // phantomlint v2 the framework is interprocedural: analyzers can declare
-// prerequisite analyzers (Requires) and exchange serializable Facts about
+// prerequisite analyzers (Requires) and exchange Facts about
 // package-level objects and packages, propagated in dependency order by
 // the graph runner (graph.go) through the fact store (facts.go).
 //
@@ -51,8 +51,8 @@ type Analyzer struct {
 	// The graph runner expands and orders the set automatically.
 	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer may export, as
-	// nil pointers of the concrete type (e.g. (*FuncTaint)(nil)). Only
-	// declared types can be serialized by the fact store.
+	// nil pointers of the concrete type (e.g. (*FuncTaint)(nil)). The fact
+	// store accepts only declared types.
 	FactTypes []Fact
 }
 
@@ -97,7 +97,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	}
 	key, ok := ObjectKey(obj)
 	if !ok {
-		return // local objects cannot carry serializable facts
+		return // local objects cannot carry facts
 	}
 	if obj.Pkg() == nil || obj.Pkg().Path() != p.Pkg.Path() {
 		panic("analysis: ExportObjectFact on object of another package")

@@ -23,14 +23,9 @@ type GraphOptions struct {
 	// Parallel caps concurrently analyzed packages per wave; <= 1 runs
 	// serially.
 	Parallel int
-	// Store receives exported facts; nil allocates a fresh one.
-	Store *Store
 	// IncludeSuppressed retains //lint:allow-suppressed findings in the
 	// result, marked Finding.Suppressed, instead of dropping them.
 	IncludeSuppressed bool
-	// FactsOnly runs only fact-producing analyzers (and their requires)
-	// and reports nothing.
-	FactsOnly bool
 }
 
 // Expand returns analyzers plus their transitive Requires, deduplicated,
@@ -112,19 +107,7 @@ func Waves(pkgs []*Package) [][]*Package {
 // exported fact.
 func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Finding, *Store, error) {
 	expanded := Expand(analyzers)
-	if opts.FactsOnly {
-		var producers []*Analyzer
-		for _, a := range expanded {
-			if len(a.FactTypes) > 0 {
-				producers = append(producers, a)
-			}
-		}
-		expanded = Expand(producers)
-	}
-	store := opts.Store
-	if store == nil {
-		store = NewStore(analyzers)
-	}
+	store := NewStore(analyzers)
 
 	var all []Finding
 	for _, wave := range Waves(pkgs) {
@@ -134,7 +117,7 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Find
 		}
 		if parallel <= 1 {
 			for _, pkg := range wave {
-				fs, err := runPackage(pkg, expanded, store, opts.FactsOnly)
+				fs, err := runPackage(pkg, expanded, store)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -152,7 +135,7 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Find
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				results[i], errs[i] = runPackage(pkg, expanded, store, opts.FactsOnly)
+				results[i], errs[i] = runPackage(pkg, expanded, store)
 			}(i, pkg)
 		}
 		wg.Wait()
@@ -179,7 +162,7 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Find
 
 // runPackage applies the already-expanded analyzer sequence to one
 // package, resolving suppression as findings are reported.
-func runPackage(pkg *Package, expanded []*Analyzer, store *Store, factsOnly bool) ([]Finding, error) {
+func runPackage(pkg *Package, expanded []*Analyzer, store *Store) ([]Finding, error) {
 	allow := collectAllows(pkg.Fset, pkg.Files)
 	var out []Finding
 	for _, a := range expanded {
@@ -193,18 +176,14 @@ func runPackage(pkg *Package, expanded []*Analyzer, store *Store, factsOnly bool
 			allow:     allow,
 		}
 		name := a.Name
-		if factsOnly {
-			pass.Report = func(Diagnostic) {}
-		} else {
-			pass.Report = func(d Diagnostic) {
-				posn := pkg.Fset.Position(d.Pos)
-				out = append(out, Finding{
-					Analyzer:   name,
-					Pos:        posn,
-					Message:    d.Message,
-					Suppressed: allow.suppressed(name, posn),
-				})
-			}
+		pass.Report = func(d Diagnostic) {
+			posn := pkg.Fset.Position(d.Pos)
+			out = append(out, Finding{
+				Analyzer:   name,
+				Pos:        posn,
+				Message:    d.Message,
+				Suppressed: allow.suppressed(name, posn),
+			})
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, err

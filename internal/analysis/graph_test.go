@@ -154,20 +154,6 @@ func contains(xs []string, s string) bool {
 	return false
 }
 
-func TestRunGraphFactsOnly(t *testing.T) {
-	findings, store, err := RunGraph(chainPkgs(t), []*Analyzer{readDepFacts()}, GraphOptions{FactsOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("FactsOnly should report nothing, got %d findings", len(findings))
-	}
-	var nf noteFact
-	if !store.lookup("chain/a", "F", &nf) {
-		t.Error("FactsOnly should still compute producer facts")
-	}
-}
-
 func TestRunGraphSuppression(t *testing.T) {
 	fset := token.NewFileSet()
 	pkg := checkSrc(t, fset, "sup/p", `package p

@@ -62,12 +62,12 @@ type Source struct {
 
 // FuncTaint is the object fact exported for every function whose call
 // tree reaches at least one nondeterminism source. Sources are sorted by
-// kind for deterministic serialization.
+// kind, so everything derived from them is deterministic.
 type FuncTaint struct {
 	Sources []Source `json:"sources"`
 }
 
-// AFact marks FuncTaint as a serializable analysis fact.
+// AFact marks FuncTaint as an analysis fact.
 func (*FuncTaint) AFact() {}
 
 // Kinds returns the fact's kinds in sorted order.

@@ -47,7 +47,7 @@ type NetFact struct {
 	Via string `json:"via"`
 }
 
-// AFact marks NetFact as a serializable analysis fact.
+// AFact marks NetFact as an analysis fact.
 func (*NetFact) AFact() {}
 
 // Analyzer is the wallclockboundary check.
