@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -54,8 +55,15 @@ func (m *merger) fold(s Snapshot) {
 // limb, the state it would have reached by folding whatever snapshot
 // sequence produced s — the primitive behind Accumulator.Absorb.
 func (m *merger) foldSorted(s Snapshot, sums []FloatSum) {
-	m.out.Counters, m.scratchC = mergeCounters(m.scratchC[:0], m.out.Counters, s.Counters), m.out.Counters
-	m.out.Gauges, m.scratchG = mergeGauges(m.scratchG[:0], m.out.Gauges, s.Gauges), m.out.Gauges
+	// The merged state holds at least max(len(acc), len(s)) entries, and
+	// exactly that once s brings no new keys (the steady state of a long
+	// fold): grow the scratch to that once instead of letting append double
+	// its way up. Growing to the upper bound len(acc)+len(s) would double
+	// every buffer of a fold whose key sets overlap.
+	dstC := slices.Grow(m.scratchC[:0], max(len(m.out.Counters), len(s.Counters)))
+	dstG := slices.Grow(m.scratchG[:0], max(len(m.out.Gauges), len(s.Gauges)))
+	m.out.Counters, m.scratchC = mergeCounters(dstC, m.out.Counters, s.Counters), m.out.Counters
+	m.out.Gauges, m.scratchG = mergeGauges(dstG, m.out.Gauges, s.Gauges), m.out.Gauges
 	h, hs := mergeHistograms(m.scratchH[:0], m.scratchS[:0], m.out.Histograms, m.hsums, s.Histograms, sums)
 	m.scratchH, m.scratchS = m.out.Histograms, m.hsums
 	m.out.Histograms, m.hsums = h, hs
