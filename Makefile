@@ -6,8 +6,8 @@ GO ?= go
 # hardware. BENCHTIME=1x gives a fast smoke recording.
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
-BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim ./internal/sniff
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkNewTestbed|BenchmarkSimulatedHomeHour|BenchmarkHijackedHomeHour|BenchmarkFleetCampaign|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen|BenchmarkCaptureHandleFrame)$$
+BENCH_PKGS = . ./internal/simtime ./internal/netsim ./internal/arp ./internal/tcpsim ./internal/tlssim ./internal/mqttsim ./internal/sniff
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkNewTestbed|BenchmarkSimulatedHomeHour|BenchmarkHijackedHomeHour|BenchmarkFleetCampaign|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkNewRand|BenchmarkSegmentDeliver|BenchmarkRepoisonTick|BenchmarkRTORearm|BenchmarkHandshake|BenchmarkRecordSealOpen|BenchmarkMQTTPublishRoundTrip|BenchmarkCaptureHandleFrame)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 
